@@ -9,7 +9,7 @@ over real loopback HTTP.
 
 __version__ = "0.1.0"
 
-from .bench import AuditReport, BenchConfig, BenchReport, LatencyHistogram, compare, run_audit, run_load
+from .bench import AuditReport, BenchConfig, BenchReport, LatencyHistogram, run_audit, run_load
 from .clock import SerialScheduler, SystemClock, VirtualClock
 from .config import ConfigError, ExperimentConfig, preset
 from .content import Post, UpstreamConfig, content_digest, generate_posts, upstream_fetch
@@ -20,7 +20,7 @@ from .ssg import SiteBuild, build_site, export_site, incremental_rebuild
 __all__ = [
     "__version__",
     "AuditReport", "BenchConfig", "BenchReport", "LatencyHistogram",
-    "compare", "run_audit", "run_load",
+    "run_audit", "run_load",
     "SerialScheduler", "SystemClock", "VirtualClock",
     "ConfigError", "ExperimentConfig", "preset",
     "Post", "UpstreamConfig", "content_digest", "generate_posts", "upstream_fetch",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from http.client import HTTPConnection
 from typing import Callable, Sequence, Union
 
-from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, SystemClock, VirtualClock
+from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
 from .edge import CacheStatus, EdgeWorker, Response
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy
 
@@ -56,10 +56,6 @@ class EmptyHistogramError(ValueError):
 
 class TargetUnreachableError(RuntimeError):
     """The benchmark target produced no successful response."""
-
-
-class MixedKindsError(TypeError):
-    """compare() needs reports of a single kind."""
 
 
 class LatencyHistogram:
@@ -145,6 +141,8 @@ class BenchConfig:
             raise ValueError("connections must be >= 1")
         if self.discard_first < 0:
             raise ValueError("discard_first must be >= 0")
+        if self.discard_first >= self.duration:
+            raise ValueError("discard_first must be shorter than duration")
 
 
 @dataclass(frozen=True)
@@ -217,6 +215,24 @@ class _CallableTarget:
         raise TypeError("bare handler target cannot reset; pass an EdgeWorker or URL")
 
 
+def _host_port(url: str) -> tuple[str, int]:
+    """Host and port of a variant's base URL: ``http://host:port``, ``host:port`` or ``[::1]:port``.
+
+    A variant is served at the root, so a base path is rejected rather
+    than silently dropped.
+    """
+    split = urllib.parse.urlsplit(url if "//" in url else f"//{url}")
+    try:
+        port = split.port or 80
+    except ValueError as exc:
+        raise ValueError(f"unsupported target url: {url}: {exc}") from exc
+    if split.scheme not in ("http", "") or not split.hostname:
+        raise ValueError(f"unsupported target url: {url}")
+    if split.path not in ("", "/") or split.query or split.fragment:
+        raise ValueError(f"target url must not carry a path or query: {url}")
+    return split.hostname, port
+
+
 class _HttpTarget:
     """Audit/reset access to a served variant over HTTP.
 
@@ -225,12 +241,7 @@ class _HttpTarget:
     """
 
     def __init__(self, base_url: str):
-        split = urllib.parse.urlsplit(base_url)
-        if split.scheme not in ("http", "") or not split.netloc and not split.path:
-            raise ValueError(f"unsupported target url: {base_url}")
-        netloc = split.netloc or split.path
-        self._host = netloc.split(":")[0]
-        self._port = int(netloc.split(":")[1]) if ":" in netloc else 80
+        self._host, self._port = _host_port(base_url)
 
     def _request(self, method: str, path: str) -> tuple[int, bytes, dict[str, str]]:
         conn = HTTPConnection(self._host, self._port, timeout=30)
@@ -343,9 +354,19 @@ def _run_load_simulated(
         heapq.heappush(heap, (conn.now(), i))
 
     clock.jump_to(deadline)
+    return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
+
+
+def _load_report(
+    hist: LatencyHistogram,
+    total_bytes: int,
+    responses: int,
+    errors: int,
+    measured: float,
+    cfg: BenchConfig,
+) -> BenchReport:
     if responses == 0:
-        raise TargetUnreachableError("no responses completed within the run")
-    measured = cfg.duration - cfg.discard_first
+        raise TargetUnreachableError("no successful responses from target within the run")
     return BenchReport(
         avg_latency=hist.mean,
         requests_per_second=responses / measured,
@@ -366,69 +387,57 @@ def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
     cutoff = start + cfg.discard_first
 
     if isinstance(target, str):
-        split = urllib.parse.urlsplit(target)
-        netloc = split.netloc or split.path
-        host = netloc.split(":")[0]
-        port = int(netloc.split(":")[1]) if ":" in netloc else 80
+        host, port = _host_port(target)
 
-        def connection_loop() -> None:
-            hist = LatencyHistogram()
-            nbytes = 0
-            count = 0
-            errors = 0
+        def connect() -> tuple[Callable[[], tuple[int, bytes]], Callable[[], None]]:
             conn = HTTPConnection(host, port, timeout=10)
-            while True:
-                t0 = time.perf_counter()
-                if t0 >= deadline:
-                    break
+
+            def fetch() -> tuple[int, bytes]:
                 try:
                     conn.request("GET", cfg.target_path)
                     resp = conn.getresponse()
-                    body = resp.read()
-                    status = resp.status
+                    return resp.status, resp.read()
                 except Exception:
-                    errors += 1
-                    conn.close()
-                    conn = HTTPConnection(host, port, timeout=10)
-                    continue
-                latency = time.perf_counter() - t0
-                if t0 >= cutoff:
-                    hist.record(latency)
-                    nbytes += len(body)
-                    count += 1
-                    if status >= 400:
-                        errors += 1
-            conn.close()
-            with results_lock:
-                results.append((hist, nbytes, count, errors))
+                    conn.close()  # the next request opens a fresh socket
+                    raise
+
+            return fetch, conn.close
 
     else:
         tgt = as_target(target)
 
-        def connection_loop() -> None:
-            hist = LatencyHistogram()
-            nbytes = 0
-            count = 0
-            errors = 0
-            clock = SystemClock()
-            while True:
-                t0 = time.perf_counter()
-                if t0 >= deadline:
-                    break
-                try:
-                    resp = tgt.fetch(cfg.target_path, clock)
-                except Exception:
+        def connect() -> tuple[Callable[[], tuple[int, bytes]], Callable[[], None]]:
+            def fetch() -> tuple[int, bytes]:
+                resp = tgt.fetch(cfg.target_path, SYSTEM_CLOCK)
+                return resp.status, resp.body
+
+            return fetch, lambda: None
+
+    def connection_loop() -> None:
+        fetch, close = connect()
+        hist = LatencyHistogram()
+        nbytes = 0
+        count = 0
+        errors = 0
+        while True:
+            t0 = time.perf_counter()
+            if t0 >= deadline:
+                break
+            try:
+                status, body = fetch()
+            except Exception:
+                errors += 1
+                continue
+            latency = time.perf_counter() - t0
+            if t0 >= cutoff:
+                hist.record(latency)
+                nbytes += len(body)
+                count += 1
+                if status >= 400:
                     errors += 1
-                    continue
-                latency = time.perf_counter() - t0
-                if t0 >= cutoff:
-                    hist.record(latency)
-                    nbytes += len(resp.body)
-                    count += 1
-                    if resp.status >= 400:
-                        errors += 1
-            with results_lock:
-                results.append((hist, nbytes, count, errors))
+        close()
+        with results_lock:
+            results.append((hist, nbytes, count, errors))
 
     threads = [threading.Thread(target=connection_loop) for _ in range(cfg.connections)]
     for t in threads:
@@ -446,19 +455,7 @@ def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
         total_bytes += nbytes
         responses += count
         errors += errs
-    if responses == 0:
-        raise TargetUnreachableError("no successful responses from target")
-    measured = elapsed - cfg.discard_first
-    return BenchReport(
-        avg_latency=merged.mean,
-        requests_per_second=responses / measured,
-        bytes_per_second=total_bytes / measured,
-        percentiles={p: merged.percentile(p) for p in PERCENTILE_POINTS},
-        total_responses=responses,
-        error_count=errors,
-        duration=measured,
-        connections=cfg.connections,
-    )
+    return _load_report(merged, total_bytes, responses, errors, elapsed - cfg.discard_first, cfg)
 
 
 def run_audit(
@@ -473,12 +470,8 @@ def run_audit(
     if runs < 2:
         raise ValueError("audits need at least 2 runs to report a rest-of-runs median")
     clock = clock if clock is not None else SYSTEM_CLOCK
+    apply_reset(target, reset)
     tgt = as_target(target)
-    if reset.purge:
-        tgt.purge()
-    if reset.cold:
-        tgt.cold()
-
     server_times: list[float] = []
     fcps: list[float] = []
     statuses: list[str] = []
@@ -508,73 +501,3 @@ def run_audit(
         profile=profile,
         server_times=tuple(server_times),
     )
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    kind: str  # "audit" or "bench"
-    headers: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-    def to_markdown(self) -> str:
-        widths = [
-            max(len(self.headers[i]), *(len(row[i]) for row in self.rows)) if self.rows else len(self.headers[i])
-            for i in range(len(self.headers))
-        ]
-        def line(cells: Sequence[str]) -> str:
-            return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-        out = [line(self.headers), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-        out.extend(line(row) for row in self.rows)
-        return "\n".join(out) + "\n"
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.headers)]
-        lines.extend(",".join(row) for row in self.rows)
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1000.0:.3f}"
-
-
-def compare(reports: Sequence[tuple[str, AuditReport | BenchReport]]) -> ComparisonTable:
-    """Tabulate reports of one kind side by side.
-
-    Audit reports become one row per entry with run-1 / median / average
-    columns for both metrics (milliseconds). Bench reports become one
-    row per percentile with one column per entry (milliseconds).
-    """
-    if not reports:
-        raise ValueError("nothing to compare")
-    kinds = {type(r) for _, r in reports}
-    if len(kinds) > 1:
-        raise MixedKindsError(f"cannot mix report kinds: {sorted(k.__name__ for k in kinds)}")
-    kind = kinds.pop()
-
-    if kind is AuditReport:
-        runs = {r.runs for _, r in reports}
-        rest = f"2-{max(runs)}"
-        headers = (
-            "variant",
-            f"fcp_run1_ms", f"fcp_{rest}_med_ms", f"fcp_{rest}_avg_ms",
-            f"srt_run1_ms", f"srt_{rest}_med_ms", f"srt_{rest}_avg_ms",
-        )
-        rows = tuple(
-            (
-                name,
-                _fmt_ms(r.fcp_proxy.run_1), _fmt_ms(r.fcp_proxy.median_rest), _fmt_ms(r.fcp_proxy.average_rest),
-                _fmt_ms(r.server_time.run_1), _fmt_ms(r.server_time.median_rest), _fmt_ms(r.server_time.average_rest),
-            )
-            for name, r in reports
-        )
-        return ComparisonTable(kind="audit", headers=headers, rows=rows)
-
-    if kind is BenchReport:
-        headers = ("percentile",) + tuple(name for name, _ in reports)
-        rows = tuple(
-            (f"{p:g}",) + tuple(_fmt_ms(r.percentiles[p]) for _, r in reports)
-            for p in PERCENTILE_POINTS
-        )
-        return ComparisonTable(kind="bench", headers=headers, rows=rows)
-
-    raise MixedKindsError(f"unsupported report kind: {kind.__name__}")

@@ -26,12 +26,21 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .bench import ResetPolicy, TargetUnreachableError, compare, run_audit, run_load
+from .bench import ResetPolicy, TargetUnreachableError, run_audit, run_load
 from .clock import SerialScheduler, VirtualClock
 from .config import ConfigError, ExperimentConfig, load as load_config, preset
 from .content import UpstreamConfig, generate_posts
 from .edge import EdgeWorker
-from .experiment import page_label, run_experiment, tables_from_summary, write_reports
+from .experiment import (
+    audit_entry,
+    audit_table,
+    bench_entry,
+    bench_table,
+    page_label,
+    run_experiment,
+    tables_from_summary,
+    write_reports,
+)
 from .httpserve import ContentServer, VariantServer
 from .ssg import build_site, export_site
 
@@ -134,14 +143,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
     build = build_site(posts)
 
-    servers: list[tuple[str, VariantServer | ContentServer]] = []
+    servers: list[tuple[str, str, VariantServer | ContentServer]] = []
     try:
         try:
             port = base_port
             for variant in cfg.variants:
                 worker = EdgeWorker(variant.config)
                 worker.deploy(build, posts)
-                servers.append((variant.name, VariantServer(worker, args.host, port)))
+                server = VariantServer(worker, args.host, port)
+                servers.append((variant.name, variant.config.strategy.value, server))
                 port += 1
             if args.content_api:
                 upstream = UpstreamConfig(
@@ -150,16 +160,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     word_min=cfg.word_min,
                     word_max=cfg.word_max,
                 )
-                servers.append(("content", ContentServer(upstream, args.host, port)))
+                servers.append(("content", "content-api", ContentServer(upstream, args.host, port)))
         except OSError as exc:
             if exc.errno in (errno.EADDRINUSE, errno.EACCES):
                 print(f"error: cannot bind: {exc}", file=sys.stderr)
                 return EXIT_PORT
             raise
 
-        for name, server in servers:
+        for name, strategy, server in servers:
             server.start()
-            print(f"{name:<8} {server.url}  strategy={_strategy_of(cfg, name)}")
+            print(f"{name:<8} {server.url}  strategy={strategy}")
         print("serving; press Ctrl-C to stop", flush=True)
         stop = threading.Event()
         while not stop.wait(0.5):
@@ -167,34 +177,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        for _, server in servers:
+        for _, _, server in servers:
             server.stop()
     print("stopped")
     return EXIT_OK
 
 
-def _strategy_of(cfg: ExperimentConfig, name: str) -> str:
-    for variant in cfg.variants:
-        if variant.name == name:
-            return variant.config.strategy.value
-    return "content-api"
+def _target(cfg: ExperimentConfig, args: argparse.Namespace):
+    """What ``bench`` and ``audit`` run against: (target, clock, scheduler, label)."""
+    if args.url:
+        if args.deterministic:
+            raise ConfigError("deterministic runs need an in-process --variant, not a --url")
+        return args.url, None, None, args.url
+    variant = _pick_variant(cfg, args.variant)
+    scheduler = SerialScheduler() if args.deterministic else None
+    clock = VirtualClock() if args.deterministic else None
+    return _deployed_worker(cfg, variant, scheduler), clock, scheduler, variant.name
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     bench = _bench_config(cfg, args)
-    if args.url:
-        if args.deterministic:
-            raise ConfigError("deterministic runs need an in-process --variant, not a --url")
-        label = args.url
-        report = run_load(args.url, bench)
-    else:
-        variant = _pick_variant(cfg, args.variant)
-        label = variant.name
-        scheduler = SerialScheduler() if args.deterministic else None
-        worker = _deployed_worker(cfg, variant, scheduler)
-        clock = VirtualClock() if args.deterministic else None
-        report = run_load(worker, bench, clock, scheduler)
+    target, clock, scheduler, label = _target(cfg, args)
+    report = run_load(target, bench, clock, scheduler)
 
     print(
         f"responses: {report.total_responses}  errors: {report.error_count}  "
@@ -202,27 +207,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"avg: {report.avg_latency * 1000:.3f} ms  "
         f"bytes/s: {report.bytes_per_second:.0f}"
     )
-    print(compare([(label, report)]).to_markdown(), end="")
+    print(bench_table([bench_entry(label, report)]).to_markdown(), end="")
     return EXIT_OK
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    profile = cfg.effective_profile()
     reset = ResetPolicy(purge=not args.no_purge, cold=args.cold)
-    if args.url:
-        target: object = args.url
-        clock = None
-        label = f"{args.url} {page_label(args.page)}"
-    else:
-        variant = _pick_variant(cfg, args.variant)
-        scheduler = SerialScheduler() if args.deterministic else None
-        target = _deployed_worker(cfg, variant, scheduler)
-        clock = VirtualClock() if args.deterministic else None
-        label = f"{variant.name} {page_label(args.page)}"
-
-    report = run_audit(target, args.page, profile, runs=args.runs, reset=reset, clock=clock)
-    print(compare([(label, report)]).to_markdown(), end="")
+    target, clock, _, label = _target(cfg, args)
+    report = run_audit(
+        target, args.page, cfg.effective_profile(), runs=args.runs, reset=reset, clock=clock
+    )
+    entry = audit_entry(f"{label} {page_label(args.page)}", report)
+    print(audit_table([entry]).to_markdown(), end="")
     print(f"cache: {' '.join(report.cache_statuses)}")
     return EXIT_OK
 
@@ -235,12 +232,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else cfg.out_dir
 
     result = run_experiment(cfg, deterministic=args.deterministic, out_dir=out)
-    audit_table, bench_table = tables_from_summary(result.summary)
-    print(audit_table.to_markdown())
-    print(bench_table.to_markdown(), end="")
-    print()
-    for name in sorted(result.files):
-        print(f"wrote {result.files[name]}")
+    _print_report(result.summary, result.files)
     return EXIT_OK
 
 
@@ -252,16 +244,20 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     out = args.out if args.out is not None else path.parent
     try:
-        audit_table, bench_table = tables_from_summary(summary)
         files = write_reports(summary, out)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path} is not a summary file: missing {exc}") from exc
-    print(audit_table.to_markdown())
-    print(bench_table.to_markdown(), end="")
+    _print_report(summary, files)
+    return EXIT_OK
+
+
+def _print_report(summary: dict, files: dict[str, Path]) -> None:
+    audits, benches = tables_from_summary(summary)
+    print(audits.to_markdown())
+    print(benches.to_markdown(), end="")
     print()
     for name in sorted(files):
         print(f"wrote {files[name]}")
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 
@@ -44,19 +45,15 @@ class AuditSettings:
             raise ConfigError("audit.pages must not be empty")
 
 
-def _core_variants(upstream_delay: float) -> tuple[VariantSpec, ...]:
-    return (
-        VariantSpec("static", StrategyConfig(Strategy.STATIC, upstream_delay=upstream_delay)),
-        VariantSpec("ssr", StrategyConfig(Strategy.SSR, upstream_delay=upstream_delay)),
-        VariantSpec("isr", StrategyConfig(Strategy.ISR, upstream_delay=upstream_delay)),
-    )
-
-
-def _all_variants(upstream_delay: float) -> tuple[VariantSpec, ...]:
-    return _core_variants(upstream_delay) + (
-        VariantSpec("swr", StrategyConfig(Strategy.SWR, upstream_delay=upstream_delay, ttl=1.0)),
-        VariantSpec("dpr", StrategyConfig(Strategy.DPR, upstream_delay=upstream_delay)),
-    )
+_CORE_VARIANTS = (
+    VariantSpec("static", StrategyConfig(Strategy.STATIC)),
+    VariantSpec("ssr", StrategyConfig(Strategy.SSR)),
+    VariantSpec("isr", StrategyConfig(Strategy.ISR)),
+)
+_ALL_VARIANTS = _CORE_VARIANTS + (
+    VariantSpec("swr", StrategyConfig(Strategy.SWR, ttl=1.0)),
+    VariantSpec("dpr", StrategyConfig(Strategy.DPR)),
+)
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ class ExperimentConfig:
     post_count: int = 100
     word_min: int = 50
     word_max: int = 500
-    variants: tuple[VariantSpec, ...] = field(default_factory=lambda: _core_variants(0.1))
+    variants: tuple[VariantSpec, ...] = _CORE_VARIANTS
     throttle_profile: str = "mobile-throttled"
     render_overhead: float = 0.0
     bench: BenchConfig = field(default_factory=BenchConfig)
@@ -94,39 +91,7 @@ class ExperimentConfig:
         return replace(base, render_overhead=self.render_overhead)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "post_count": self.post_count,
-            "word_min": self.word_min,
-            "word_max": self.word_max,
-            "variants": [
-                {
-                    "name": v.name,
-                    "strategy": v.config.strategy.value,
-                    "upstream_delay": v.config.upstream_delay,
-                    "ttl": v.config.ttl,
-                    "cold_start_penalty": v.config.cold_start_penalty,
-                    "base_handling": v.config.base_handling,
-                    "kv_read_delay": v.config.kv_read_delay,
-                }
-                for v in self.variants
-            ],
-            "throttle_profile": self.throttle_profile,
-            "render_overhead": self.render_overhead,
-            "bench": {
-                "duration": self.bench.duration,
-                "connections": self.bench.connections,
-                "target_path": self.bench.target_path,
-                "discard_first": self.bench.discard_first,
-            },
-            "audit": {
-                "runs": self.audit.runs,
-                "pages": list(self.audit.pages),
-                "reset": {"purge": self.audit.reset.purge, "cold": self.audit.reset.cold},
-            },
-            "out_dir": self.out_dir,
-            "base_port": self.base_port,
-        }
+        return _plain(self)
 
     def emit(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -140,56 +105,57 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def _plain(value):
+    """``value`` as JSON data: dataclasses by field, enums by value, tuples as lists.
+
+    A variant flattens to its name plus its strategy settings.
+    """
+    if isinstance(value, VariantSpec):
+        return {"name": value.name, **_plain(value.config)}
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _overlay(default, data: dict):
+    """``default`` with the JSON object ``data`` laid over it, field by field.
+
+    Nested objects are laid over the default's own sub-instance, so a
+    partial ``{"audit": {"reset": {"purge": false}}}`` keeps the audit
+    default's ``cold``.
+    """
+    changes = {}
+    for name, value in data.items():
+        current = getattr(default, name)
+        if is_dataclass(current):
+            value = _overlay(current, value)
+        elif isinstance(current, tuple):
+            value = tuple(value)
+        changes[name] = value
+    return replace(default, **changes)
+
+
+def _variant(data: dict) -> VariantSpec:
+    settings = {k: v for k, v in data.items() if k != "name"}
+    settings["strategy"] = Strategy(settings["strategy"])
+    return VariantSpec(data["name"], StrategyConfig(**settings))
+
+
 def from_dict(data: dict) -> ExperimentConfig:
     try:
         jsonschema.validate(data, _schema())
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config does not match schema: {exc.message}") from exc
 
-    defaults = ExperimentConfig()
+    overrides = dict(data)
     try:
-        variants = tuple(
-            VariantSpec(
-                name=v["name"],
-                config=StrategyConfig(
-                    strategy=Strategy(v["strategy"]),
-                    upstream_delay=v.get("upstream_delay", 0.1),
-                    ttl=v.get("ttl"),
-                    cold_start_penalty=v.get("cold_start_penalty", 0.0),
-                    base_handling=v.get("base_handling", 0.001),
-                    kv_read_delay=v.get("kv_read_delay", 0.0),
-                ),
-            )
-            for v in data.get("variants", [])
-        ) or defaults.variants
-        bench_data = data.get("bench", {})
-        audit_data = data.get("audit", {})
-        reset_data = audit_data.get("reset", {})
-        return ExperimentConfig(
-            seed=data.get("seed", defaults.seed),
-            post_count=data.get("post_count", defaults.post_count),
-            word_min=data.get("word_min", defaults.word_min),
-            word_max=data.get("word_max", defaults.word_max),
-            variants=variants,
-            throttle_profile=data.get("throttle_profile", defaults.throttle_profile),
-            render_overhead=data.get("render_overhead", defaults.render_overhead),
-            bench=BenchConfig(
-                duration=bench_data.get("duration", 30.0),
-                connections=bench_data.get("connections", 10),
-                target_path=bench_data.get("target_path", "/"),
-                discard_first=bench_data.get("discard_first", 0.0),
-            ),
-            audit=AuditSettings(
-                runs=audit_data.get("runs", 5),
-                pages=tuple(audit_data.get("pages", ("/", "/posts/post-0"))),
-                reset=ResetPolicy(
-                    purge=reset_data.get("purge", True),
-                    cold=reset_data.get("cold", True),
-                ),
-            ),
-            out_dir=data.get("out_dir", defaults.out_dir),
-            base_port=data.get("base_port", defaults.base_port),
-        )
+        if "variants" in overrides:
+            overrides["variants"] = tuple(_variant(v) for v in overrides["variants"])
+        return _overlay(ExperimentConfig(), overrides)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -213,5 +179,5 @@ def preset(name: str) -> ExperimentConfig:
     if name == "core-three":
         return ExperimentConfig()
     if name == "all-five":
-        return ExperimentConfig(variants=_all_variants(0.1))
+        return ExperimentConfig(variants=_ALL_VARIANTS)
     raise ConfigError(f"unknown preset {name!r}; known: core-three, all-five")

@@ -7,7 +7,8 @@ Strategies
             serve from cache; stale entries are re-rendered inline.
     SWR     like ISR with a mandatory ttl, but a stale hit is served
             immediately from cache while one background revalidation
-            refreshes the entry for later requests.
+            refreshes the entry for later requests. If the origin fails,
+            the stale entry stays and the next stale hit retries.
     DPR     like ISR with an infinite ttl, except cache entries are
             keyed by deploy, so a new deploy atomically orphans every
             previously cached page.
@@ -275,7 +276,12 @@ class EdgeWorker:
                 dep = self._deployment
                 if dep is None:
                     return
-                page = self._render(dep, path, task_clock)
+                try:
+                    page = self._render(dep, path, task_clock)
+                except UpstreamError:
+                    # stale-if-error (RFC 5861): keep the stale entry; the
+                    # next stale read schedules another attempt.
+                    return
                 entry = CacheEntry(
                     path=path,
                     page=page,

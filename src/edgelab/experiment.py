@@ -23,17 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
-from .bench import (
-    PERCENTILE_POINTS,
-    AuditReport,
-    BenchReport,
-    ComparisonTable,
-    apply_reset,
-    run_audit,
-    run_load,
-)
+from .bench import PERCENTILE_POINTS, AuditReport, BenchReport, apply_reset, run_audit, run_load
 from .clock import SerialScheduler, SystemClock, VirtualClock
 from .config import ExperimentConfig
 from .content import generate_posts
@@ -52,12 +45,45 @@ def _round_ms(seconds: float) -> float:
     return round(seconds * 1000.0, 6)
 
 
+# AuditMetric fields, in table column order.
+_AUDIT_STATS = ("run_1", "median_rest", "average_rest")
+
+
 @dataclass
 class ExperimentResult:
     audits: list[tuple[str, AuditReport]]
     benches: list[tuple[str, BenchReport]]
     summary: dict
     files: dict[str, Path]
+
+
+def audit_entry(label: str, rep: AuditReport) -> dict:
+    """One row of the audit table, as stored in ``summary.json``."""
+    return {
+        "label": label,
+        "page": rep.page,
+        "runs": rep.runs,
+        "cache_statuses": list(rep.cache_statuses),
+        "server_time_ms": {k: _round_ms(getattr(rep.server_time, k)) for k in _AUDIT_STATS},
+        "fcp_proxy_ms": {k: _round_ms(getattr(rep.fcp_proxy, k)) for k in _AUDIT_STATS},
+    }
+
+
+def bench_entry(name: str, rep: BenchReport) -> dict:
+    """One column of the percentile table, as stored in ``summary.json``."""
+    return {
+        "variant": name,
+        "requests_per_second": round(rep.requests_per_second, 6),
+        "avg_latency_ms": _round_ms(rep.avg_latency),
+        "bytes_per_second": round(rep.bytes_per_second, 6),
+        "total_responses": rep.total_responses,
+        "error_count": rep.error_count,
+        "duration": round(rep.duration, 6),
+        "connections": rep.connections,
+        "percentiles_ms": {
+            f"{p:g}": _round_ms(rep.percentiles[p]) for p in PERCENTILE_POINTS
+        },
+    }
 
 
 def build_summary(
@@ -77,75 +103,65 @@ def build_summary(
         "render_overhead": profile.render_overhead,
         "connections": cfg.bench.connections,
         "reset_policy": {"purge": cfg.audit.reset.purge, "cold": cfg.audit.reset.cold},
-        "audits": [
-            {
-                "label": label,
-                "page": rep.page,
-                "runs": rep.runs,
-                "cache_statuses": list(rep.cache_statuses),
-                "server_time_ms": {
-                    "run_1": _round_ms(rep.server_time.run_1),
-                    "median_rest": _round_ms(rep.server_time.median_rest),
-                    "average_rest": _round_ms(rep.server_time.average_rest),
-                },
-                "fcp_proxy_ms": {
-                    "run_1": _round_ms(rep.fcp_proxy.run_1),
-                    "median_rest": _round_ms(rep.fcp_proxy.median_rest),
-                    "average_rest": _round_ms(rep.fcp_proxy.average_rest),
-                },
-            }
-            for label, rep in audits
-        ],
-        "bench": [
-            {
-                "variant": name,
-                "requests_per_second": round(rep.requests_per_second, 6),
-                "avg_latency_ms": _round_ms(rep.avg_latency),
-                "bytes_per_second": round(rep.bytes_per_second, 6),
-                "total_responses": rep.total_responses,
-                "error_count": rep.error_count,
-                "duration": round(rep.duration, 6),
-                "connections": rep.connections,
-                "percentiles_ms": {
-                    f"{p:g}": _round_ms(rep.percentiles[p]) for p in PERCENTILE_POINTS
-                },
-            }
-            for name, rep in benches
-        ],
+        "audits": [audit_entry(label, rep) for label, rep in audits],
+        "bench": [bench_entry(name, rep) for name, rep in benches],
         "config": cfg.to_dict(),
     }
 
 
-def tables_from_summary(summary: dict) -> tuple[ComparisonTable, ComparisonTable]:
-    """Rebuild the report tables from a summary dict (used by `report` too)."""
-    runs = max((a["runs"] for a in summary["audits"]), default=2)
+@dataclass(frozen=True)
+class ComparisonTable:
+    kind: str  # "audit" or "bench"
+    headers: tuple[str, ...]
+    rows: tuple[tuple[str, ...], ...]
+
+    def to_markdown(self) -> str:
+        widths = [
+            max(len(self.headers[i]), *(len(row[i]) for row in self.rows)) if self.rows else len(self.headers[i])
+            for i in range(len(self.headers))
+        ]
+        def line(cells: Sequence[str]) -> str:
+            return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+        out = [line(self.headers), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
+        out.extend(line(row) for row in self.rows)
+        return "\n".join(out) + "\n"
+
+    def to_csv(self) -> str:
+        lines = [",".join(self.headers)]
+        lines.extend(",".join(row) for row in self.rows)
+        return "\n".join(lines) + "\n"
+
+
+def audit_table(entries: Sequence[dict]) -> ComparisonTable:
+    """One row per audit entry: run 1, median and average of the rest, for fcp and server time."""
+    runs = max((a["runs"] for a in entries), default=2)
     rest = f"2-{runs}"
-    audit_headers = (
+    headers = (
         "variant",
         "fcp_run1_ms", f"fcp_{rest}_med_ms", f"fcp_{rest}_avg_ms",
         "srt_run1_ms", f"srt_{rest}_med_ms", f"srt_{rest}_avg_ms",
     )
-    audit_rows = tuple(
-        (
-            a["label"],
-            f"{a['fcp_proxy_ms']['run_1']:.3f}",
-            f"{a['fcp_proxy_ms']['median_rest']:.3f}",
-            f"{a['fcp_proxy_ms']['average_rest']:.3f}",
-            f"{a['server_time_ms']['run_1']:.3f}",
-            f"{a['server_time_ms']['median_rest']:.3f}",
-            f"{a['server_time_ms']['average_rest']:.3f}",
-        )
-        for a in summary["audits"]
+    rows = tuple(
+        (a["label"],)
+        + tuple(f"{a[m][k]:.3f}" for m in ("fcp_proxy_ms", "server_time_ms") for k in _AUDIT_STATS)
+        for a in entries
     )
-    audit_table = ComparisonTable(kind="audit", headers=audit_headers, rows=audit_rows)
+    return ComparisonTable(kind="audit", headers=headers, rows=rows)
 
-    bench_headers = ("percentile",) + tuple(b["variant"] for b in summary["bench"])
-    bench_rows = tuple(
-        (f"{p:g}",) + tuple(f"{b['percentiles_ms'][f'{p:g}']:.3f}" for b in summary["bench"])
+
+def bench_table(entries: Sequence[dict]) -> ComparisonTable:
+    """One row per percentile, one column per bench entry."""
+    headers = ("percentile",) + tuple(b["variant"] for b in entries)
+    rows = tuple(
+        (f"{p:g}",) + tuple(f"{b['percentiles_ms'][f'{p:g}']:.3f}" for b in entries)
         for p in PERCENTILE_POINTS
     )
-    bench_table = ComparisonTable(kind="bench", headers=bench_headers, rows=bench_rows)
-    return audit_table, bench_table
+    return ComparisonTable(kind="bench", headers=headers, rows=rows)
+
+
+def tables_from_summary(summary: dict) -> tuple[ComparisonTable, ComparisonTable]:
+    """Rebuild the report tables from a summary dict (used by `report` too)."""
+    return audit_table(summary["audits"]), bench_table(summary["bench"])
 
 
 def write_reports(summary: dict, out_dir: Path | str) -> dict[str, Path]:

@@ -114,25 +114,55 @@ def _post_source_key(post: Post) -> str:
     return _digest(payload.encode("utf-8"))
 
 
+def _render_site(
+    posts: list[Post],
+    prev: SiteBuild | None,
+    deploy_id: int,
+    built_at: float | None,
+) -> tuple[SiteBuild, frozenset[str]]:
+    """Render the pages whose source key differs from ``prev``'s; reuse the rest."""
+    prev_keys = prev.source_keys if prev is not None else {}
+    pages: dict[str, RenderedPage] = {}
+    keys: dict[str, str] = {}
+    rebuilt: set[str] = set()
+
+    index_key = _index_source_key(posts)
+    if prev_keys.get(INDEX_PATH) == index_key:
+        pages[INDEX_PATH] = prev.pages[INDEX_PATH]
+    else:
+        pages[INDEX_PATH] = render_index(posts)
+        rebuilt.add(INDEX_PATH)
+    keys[INDEX_PATH] = index_key
+
+    for post in posts:
+        path = post_path(post)
+        key = _post_source_key(post)
+        if prev_keys.get(path) == key:
+            pages[path] = prev.pages[path]
+        else:
+            pages[path] = render_post(post)
+            rebuilt.add(path)
+        keys[path] = key
+
+    return (
+        SiteBuild(
+            deploy_id=deploy_id,
+            pages=MappingProxyType(pages),
+            source_digest=content_digest(posts),
+            built_at=time.time() if built_at is None else built_at,
+            source_keys=MappingProxyType(keys),
+        ),
+        frozenset(rebuilt),
+    )
+
+
 def build_site(
     posts: list[Post],
     prev_deploy_id: int = 0,
     built_at: float | None = None,
 ) -> SiteBuild:
     """Render every page from scratch. ``deploy_id`` is prev + 1."""
-    pages: dict[str, RenderedPage] = {INDEX_PATH: render_index(posts)}
-    keys: dict[str, str] = {INDEX_PATH: _index_source_key(posts)}
-    for post in posts:
-        page = render_post(post)
-        pages[page.path] = page
-        keys[page.path] = _post_source_key(post)
-    return SiteBuild(
-        deploy_id=prev_deploy_id + 1,
-        pages=MappingProxyType(pages),
-        source_digest=content_digest(posts),
-        built_at=time.time() if built_at is None else built_at,
-        source_keys=MappingProxyType(keys),
-    )
+    return _render_site(posts, None, prev_deploy_id + 1, built_at)[0]
 
 
 def incremental_rebuild(
@@ -145,38 +175,7 @@ def incremental_rebuild(
     Output is page-for-page identical to a fresh ``build_site(posts)``;
     the returned path set is exactly the pages that were re-rendered.
     """
-    pages: dict[str, RenderedPage] = {}
-    keys: dict[str, str] = {}
-    rebuilt: set[str] = set()
-
-    index_key = _index_source_key(posts)
-    if prev.source_keys.get(INDEX_PATH) == index_key:
-        pages[INDEX_PATH] = prev.pages[INDEX_PATH]
-    else:
-        pages[INDEX_PATH] = render_index(posts)
-        rebuilt.add(INDEX_PATH)
-    keys[INDEX_PATH] = index_key
-
-    for post in posts:
-        path = post_path(post)
-        key = _post_source_key(post)
-        if prev.source_keys.get(path) == key:
-            pages[path] = prev.pages[path]
-        else:
-            pages[path] = render_post(post)
-            rebuilt.add(path)
-        keys[path] = key
-
-    return (
-        SiteBuild(
-            deploy_id=prev.deploy_id + 1,
-            pages=MappingProxyType(pages),
-            source_digest=content_digest(posts),
-            built_at=time.time() if built_at is None else built_at,
-            source_keys=MappingProxyType(keys),
-        ),
-        frozenset(rebuilt),
-    )
+    return _render_site(posts, prev, prev.deploy_id + 1, built_at)
 
 
 def export_site(build: SiteBuild, dest: Path | str) -> list[Path]:

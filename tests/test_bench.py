@@ -1,4 +1,4 @@
-"""Histogram accuracy, load-run accounting, audits, comparison tables."""
+"""Histogram accuracy, load-run accounting, target URLs, audits, comparison tables."""
 
 import math
 import random
@@ -17,15 +17,14 @@ from edgelab.bench import (
     BenchConfig,
     EmptyHistogramError,
     LatencyHistogram,
-    MixedKindsError,
     ResetPolicy,
     TargetUnreachableError,
-    compare,
     run_audit,
     run_load,
 )
 from edgelab.clock import SerialScheduler, VirtualClock
 from edgelab.edge import CacheStatus, Response, Strategy, StrategyConfig
+from edgelab.experiment import audit_entry, audit_table, bench_entry, bench_table
 
 
 def nearest_rank(sorted_values, p):
@@ -189,6 +188,67 @@ def test_wallclock_load_against_dead_port_is_unreachable():
         run_load("http://127.0.0.1:1", BenchConfig(duration=0.4, connections=2))
 
 
+def test_discard_first_must_be_shorter_than_duration():
+    # Discarding the whole run used to surface as an unreachable target.
+    with pytest.raises(ValueError, match="discard_first"):
+        BenchConfig(duration=1.0, discard_first=1.0)
+    with pytest.raises(ValueError, match="discard_first"):
+        BenchConfig(duration=1.0, discard_first=2.0)
+    assert BenchConfig(duration=1.0, discard_first=0.5).discard_first == 0.5
+
+
+# ------------------------------------------------------------ target urls
+
+
+@pytest.mark.parametrize(
+    "url, host, port",
+    [
+        ("http://127.0.0.1:8300", "127.0.0.1", 8300),
+        ("http://127.0.0.1:8300/", "127.0.0.1", 8300),
+        ("127.0.0.1:8300", "127.0.0.1", 8300),
+        ("localhost:8300", "localhost", 8300),
+        ("http://localhost", "localhost", 80),
+        ("http://[::1]:8300", "::1", 8300),
+        ("[::1]:8300", "::1", 8300),
+    ],
+)
+def test_target_url_forms(url, host, port):
+    from edgelab.bench import _host_port
+
+    assert _host_port(url) == (host, port)
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://127.0.0.1:8300/base",
+        "http://127.0.0.1:8300/?x=1",
+        "https://127.0.0.1:8300",
+        "http://127.0.0.1:port",
+        "http://:8300",
+        "",
+    ],
+)
+def test_target_url_rejects(url):
+    from edgelab.bench import _host_port
+
+    with pytest.raises(ValueError):
+        _host_port(url)
+
+
+@pytest.mark.parametrize("url", ["localhost:1", "http://[::1]:1", "[::1]:1"])
+def test_audit_of_dead_port_without_scheme_or_on_ipv6_is_unreachable(url):
+    with pytest.raises(TargetUnreachableError):
+        run_audit(url, "/", runs=2)
+
+
+def test_base_path_is_rejected_not_dropped():
+    with pytest.raises(ValueError, match="path"):
+        run_audit("http://127.0.0.1:1/base", "/", runs=2)
+    with pytest.raises(ValueError, match="path"):
+        run_load("http://127.0.0.1:1/base", BenchConfig(duration=0.4, connections=2))
+
+
 @pytest.mark.wallclock
 def test_wallclock_load_in_process_worker(posts10, build10):
     from edgelab.edge import EdgeWorker
@@ -291,7 +351,9 @@ def _audit_report(page="/"):
 
 
 def test_compare_audits_three_rows_six_numeric_columns():
-    table = compare([("ssr", _audit_report()), ("isr", _audit_report()), ("static", _audit_report())])
+    table = audit_table(
+        [audit_entry(name, _audit_report()) for name in ("ssr", "isr", "static")]
+    )
     assert table.kind == "audit"
     assert len(table.rows) == 3
     assert len(table.headers) == 7  # label + 6 numeric columns
@@ -301,23 +363,15 @@ def test_compare_audits_three_rows_six_numeric_columns():
 
 
 def test_compare_single_report_is_fine():
-    table = compare([("only", _audit_report())])
+    table = audit_table([audit_entry("only", _audit_report())])
     assert len(table.rows) == 1
-
-
-def test_compare_rejects_empty_and_mixed():
-    with pytest.raises(ValueError):
-        compare([])
-    bench = run_load(constant_handler(0.01), BenchConfig(duration=1.0, connections=1), VirtualClock())
-    with pytest.raises(MixedKindsError):
-        compare([("a", _audit_report()), ("b", bench)])
 
 
 def test_compare_bench_csv_layout():
     cfg = BenchConfig(duration=1.0, connections=1)
     fast = run_load(constant_handler(0.01), cfg, VirtualClock())
     slow = run_load(constant_handler(0.02), cfg, VirtualClock())
-    table = compare([("fast", fast), ("slow", slow)])
+    table = bench_table([bench_entry("fast", fast), bench_entry("slow", slow)])
     csv = table.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "percentile,fast,slow"
@@ -326,7 +380,7 @@ def test_compare_bench_csv_layout():
 
 
 def test_markdown_table_is_aligned():
-    table = compare([("a", _audit_report()), ("b", _audit_report())])
+    table = audit_table([audit_entry("a", _audit_report()), audit_entry("b", _audit_report())])
     md_lines = table.to_markdown().strip().split("\n")
     widths = {len(line) for line in md_lines}
     assert len(widths) == 1  # every row padded to the same width

@@ -96,6 +96,24 @@ def test_bench_unreachable_url_exits_5(capsys):
     assert main(["bench", "--url", "http://127.0.0.1:1", "--duration", "0.4"]) == 5
 
 
+def test_bench_discard_whole_run_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        bench={"duration": 1.0, "connections": 2, "target_path": "/", "discard_first": 1.0},
+    )
+    assert main(["bench", "--config", str(cfg), "--variant", "isr", "--deterministic"]) == 2
+    assert "discard_first" in capsys.readouterr().err
+
+
+def test_bench_url_with_base_path_is_config_error(capsys):
+    assert main(["bench", "--url", "http://127.0.0.1:1/base", "--duration", "0.4"]) == 2
+
+
+def test_audit_deterministic_url_is_rejected(capsys):
+    assert main(["audit", "--url", "http://127.0.0.1:1", "--deterministic"]) == 2
+    assert "deterministic" in capsys.readouterr().err
+
+
 def test_audit_deterministic_isr(capsys):
     assert main(["audit", "--variant", "isr", "--deterministic"]) == 0
     out = capsys.readouterr().out

@@ -57,6 +57,14 @@ def test_example_config_file_parses():
     cfg = load(example)
     assert [v.name for v in cfg.variants] == ["static", "ssr", "isr", "swr", "dpr"]
     assert cfg.bench.duration == 30.0
+    assert cfg == preset("all-five")
+    assert cfg.to_dict() == json.loads(example.read_text())
+    # A partial nested object keeps the enclosing default's other fields:
+    # the audit default resets cold, unlike a bare ResetPolicy.
+    partial = from_dict({"audit": {"reset": {"purge": False}}})
+    assert partial.audit.reset.purge is False
+    assert partial.audit.reset.cold is True
+    assert partial.audit.pages == preset("core-three").audit.pages
 
 
 def test_rejects_unknown_top_level_key():
@@ -86,6 +94,13 @@ def test_rejects_invalid_bench_and_audit_values():
 
     data = preset("core-three").to_dict()
     data["audit"]["runs"] = 1
+    with pytest.raises(ConfigError):
+        from_dict(data)
+
+
+def test_rejects_discarding_the_whole_bench_run():
+    data = preset("core-three").to_dict()
+    data["bench"]["discard_first"] = data["bench"]["duration"]
     with pytest.raises(ConfigError):
         from_dict(data)
 

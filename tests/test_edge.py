@@ -150,6 +150,27 @@ def test_swr_revalidation_is_deduplicated(posts10, build10):
     assert w.handle_request("/", base.fork()).cache_status is CacheStatus.HIT
 
 
+def test_swr_revalidation_failure_keeps_serving_stale(posts10, build10):
+    sched = SerialScheduler()
+    w = EdgeWorker(StrategyConfig(strategy=Strategy.SWR, upstream_delay=DELAY, ttl=1.0), sched)
+    w.deploy(build10, posts10)
+    clock = VirtualClock()
+    path = "/posts/post-1"
+    cached = w.handle_request(path, clock)
+    assert cached.cache_status is CacheStatus.MISS
+
+    # The new build still lists the page, but the origin no longer has it.
+    w.deploy(build_site(posts10, prev_deploy_id=build10.deploy_id), [p for p in posts10 if p.slug != "post-1"])
+    clock.jump_to(5.0)
+    assert w.handle_request(path, clock).cache_status is CacheStatus.STALE
+    assert sched.drain() == 1  # the failed revalidation does not escape
+
+    again = w.handle_request(path, clock)
+    assert again.cache_status is CacheStatus.STALE
+    assert again.body == cached.body
+    assert sched.pending == 1  # a new attempt is scheduled
+
+
 def test_dpr_new_deploy_misses_and_serves_new_bytes(worker_factory, posts10, build10):
     w = worker_factory(Strategy.DPR)
     clock = VirtualClock()
