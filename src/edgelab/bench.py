@@ -11,8 +11,10 @@ Two protocols are implemented:
   reported separately from the median and average of runs 2..k, for
   both raw server time and the first-paint proxy.
 
-Both accept either a base URL (wall clock, real sockets) or an
-in-process worker. With a VirtualClock, ``run_load`` becomes a
+Both accept a base URL (wall clock, real sockets), an in-process
+worker or a bare ``(path, clock) -> Response`` handler. A URL is reached
+through the worker's interface over one keep-alive connection per load
+connection and per audit. With a VirtualClock, ``run_load`` becomes a
 deterministic event-driven simulation: each connection gets its own
 forked clock and events are processed in timestamp order.
 
@@ -29,8 +31,9 @@ import statistics
 import threading
 import time
 import urllib.parse
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from typing import Callable, Sequence, Union
 
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
@@ -187,34 +190,6 @@ class AuditReport:
 Target = Union[str, EdgeWorker, Callable[[str, Clock], Response]]
 
 
-class _WorkerTarget:
-    def __init__(self, worker: EdgeWorker):
-        self._worker = worker
-
-    def fetch(self, path: str, clock: Clock) -> Response:
-        return self._worker.handle_request(path, clock)
-
-    def purge(self) -> int:
-        return self._worker.purge_cache()
-
-    def cold(self) -> None:
-        self._worker.cold_worker()
-
-
-class _CallableTarget:
-    def __init__(self, handler: Callable[[str, Clock], Response]):
-        self._handler = handler
-
-    def fetch(self, path: str, clock: Clock) -> Response:
-        return self._handler(path, clock)
-
-    def purge(self) -> int:
-        raise TypeError("bare handler target cannot purge; pass an EdgeWorker or URL")
-
-    def cold(self) -> None:
-        raise TypeError("bare handler target cannot reset; pass an EdgeWorker or URL")
-
-
 def _host_port(url: str) -> tuple[str, int]:
     """Host and port of a variant's base URL: ``http://host:port``, ``host:port`` or ``[::1]:port``.
 
@@ -234,67 +209,77 @@ def _host_port(url: str) -> tuple[str, int]:
 
 
 class _HttpTarget:
-    """Audit/reset access to a served variant over HTTP.
+    """A served variant behind the worker's interface, over one keep-alive connection.
 
-    Server time comes from the x-server-time-us response header so the
-    client's own overhead does not pollute the server-side metric.
+    The socket opens on the first request and is kept until ``close``. A
+    request that fails on a reused connection (the server may have closed
+    it while idle) is retried once on a fresh one, which RFC 9112 section
+    9.3.1 allows because GET and both admin POSTs are idempotent in
+    effect; a failure on a fresh connection means the target is
+    unreachable. Server time comes from the x-server-time-us response
+    header so the client's own overhead does not pollute the server-side
+    metric.
     """
 
     def __init__(self, base_url: str):
-        self._host, self._port = _host_port(base_url)
+        self._conn = HTTPConnection(*_host_port(base_url), timeout=30)
 
-    def _request(self, method: str, path: str) -> tuple[int, bytes, dict[str, str]]:
-        conn = HTTPConnection(self._host, self._port, timeout=30)
+    def close(self) -> None:
+        self._conn.close()
+
+    def _request(self, method: str, path: str) -> tuple[HTTPResponse, bytes]:
+        reused = self._conn.sock is not None
         try:
-            conn.request(method, path)
-            resp = conn.getresponse()
-            body = resp.read()
-            headers = {k.lower(): v for k, v in resp.getheaders()}
-            return resp.status, body, headers
-        except OSError as exc:
-            raise TargetUnreachableError(f"{self._host}:{self._port} unreachable: {exc}") from exc
-        finally:
-            conn.close()
+            self._conn.request(method, path)
+            resp = self._conn.getresponse()
+            return resp, resp.read()
+        except (OSError, HTTPException) as exc:
+            self._conn.close()
+            if reused:
+                return self._request(method, path)
+            raise TargetUnreachableError(f"{self._conn.host}:{self._conn.port} unreachable: {exc}") from exc
 
-    def fetch(self, path: str, clock: Clock) -> Response:
+    def handle_request(self, path: str, clock: Clock) -> Response:
         t0 = clock.now()
-        status, body, headers = self._request("GET", path)
-        elapsed = clock.now() - t0
-        if "x-server-time-us" in headers:
-            server_time = int(headers["x-server-time-us"]) / 1e6
-        else:
-            server_time = elapsed
-        cache_status = CacheStatus(headers.get("x-edge-cache", "BYPASS"))
-        return Response(status, body, server_time, cache_status)
+        resp, body = self._request("GET", path)
+        server_us = resp.getheader("x-server-time-us")
+        server_time = int(server_us) / 1e6 if server_us is not None else clock.now() - t0
+        cache_status = CacheStatus(resp.getheader("x-edge-cache", "BYPASS"))
+        return Response(resp.status, body, server_time, cache_status)
 
-    def purge(self) -> int:
-        status, body, _ = self._request("POST", "/__admin/purge")
-        if status != 200:
-            raise TargetUnreachableError(f"purge failed with status {status}")
+    def purge_cache(self) -> int:
+        resp, body = self._request("POST", "/__admin/purge")
+        if resp.status != 200:
+            raise TargetUnreachableError(f"purge failed with status {resp.status}")
         return int(json.loads(body)["removed"])
 
-    def cold(self) -> None:
-        status, _, _ = self._request("POST", "/__admin/cold")
-        if status != 200:
-            raise TargetUnreachableError(f"cold reset failed with status {status}")
+    def cold_worker(self) -> None:
+        resp, _ = self._request("POST", "/__admin/cold")
+        if resp.status != 200:
+            raise TargetUnreachableError(f"cold reset failed with status {resp.status}")
 
 
-def as_target(target: Target):
-    if isinstance(target, EdgeWorker):
-        return _WorkerTarget(target)
-    if isinstance(target, str):
-        return _HttpTarget(target)
-    if callable(target):
-        return _CallableTarget(target)
-    raise TypeError(f"unsupported target: {target!r}")
+def _open(target: Target):
+    """``target`` as a context manager: a URL becomes an ``_HttpTarget`` closed on exit."""
+    return closing(_HttpTarget(target)) if isinstance(target, str) else nullcontext(target)
+
+
+def _fetch(target) -> Callable[[str, Clock], Response]:
+    """The request function of an opened target; a bare handler is its own."""
+    return getattr(target, "handle_request", target)
 
 
 def apply_reset(target: Target, reset: ResetPolicy) -> None:
-    tgt = as_target(target)
-    if reset.purge:
-        tgt.purge()
-    if reset.cold:
-        tgt.cold()
+    """Purge and/or cold-reset ``target`` as ``reset`` asks; a bare handler can do neither."""
+    with _open(target) as tgt:
+        if reset.purge:
+            if not hasattr(tgt, "purge_cache"):
+                raise TypeError("bare handler target cannot purge; pass an EdgeWorker or URL")
+            tgt.purge_cache()
+        if reset.cold:
+            if not hasattr(tgt, "cold_worker"):
+                raise TypeError("bare handler target cannot reset; pass an EdgeWorker or URL")
+            tgt.cold_worker()
 
 
 def run_load(
@@ -323,7 +308,7 @@ def _run_load_simulated(
     clock: VirtualClock,
     background: SerialScheduler | None,
 ) -> BenchReport:
-    tgt = as_target(target)
+    fetch = _fetch(target)
     start = clock.now()
     deadline = start + cfg.duration
     cutoff = start + cfg.discard_first
@@ -341,7 +326,7 @@ def _run_load_simulated(
             continue
         conn = conn_clocks[i]
         conn.jump_to(t)
-        resp = tgt.fetch(cfg.target_path, conn)
+        resp = fetch(cfg.target_path, conn)
         latency = conn.now() - t
         if t >= cutoff:
             hist.record(latency)
@@ -382,64 +367,38 @@ def _load_report(
 def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
     results: list[tuple[LatencyHistogram, int, int, int]] = []
     results_lock = threading.Lock()
+    # One target per connection, opened here so a bad URL raises in the caller.
+    opened = [_open(target) for _ in range(cfg.connections)]
     start = time.perf_counter()
     deadline = start + cfg.duration
     cutoff = start + cfg.discard_first
 
-    if isinstance(target, str):
-        host, port = _host_port(target)
-
-        def connect() -> tuple[Callable[[], tuple[int, bytes]], Callable[[], None]]:
-            conn = HTTPConnection(host, port, timeout=10)
-
-            def fetch() -> tuple[int, bytes]:
-                try:
-                    conn.request("GET", cfg.target_path)
-                    resp = conn.getresponse()
-                    return resp.status, resp.read()
-                except Exception:
-                    conn.close()  # the next request opens a fresh socket
-                    raise
-
-            return fetch, conn.close
-
-    else:
-        tgt = as_target(target)
-
-        def connect() -> tuple[Callable[[], tuple[int, bytes]], Callable[[], None]]:
-            def fetch() -> tuple[int, bytes]:
-                resp = tgt.fetch(cfg.target_path, SYSTEM_CLOCK)
-                return resp.status, resp.body
-
-            return fetch, lambda: None
-
-    def connection_loop() -> None:
-        fetch, close = connect()
+    def connection_loop(conn) -> None:
         hist = LatencyHistogram()
         nbytes = 0
         count = 0
         errors = 0
-        while True:
-            t0 = time.perf_counter()
-            if t0 >= deadline:
-                break
-            try:
-                status, body = fetch()
-            except Exception:
-                errors += 1
-                continue
-            latency = time.perf_counter() - t0
-            if t0 >= cutoff:
-                hist.record(latency)
-                nbytes += len(body)
-                count += 1
-                if status >= 400:
-                    errors += 1
-        close()
+        with conn as tgt:
+            fetch = _fetch(tgt)
+            while (t0 := time.perf_counter()) < deadline:
+                try:
+                    resp = fetch(cfg.target_path, SYSTEM_CLOCK)
+                except Exception:
+                    # A connection ends at its first failure, so a dead target fails fast.
+                    if t0 >= cutoff:
+                        errors += 1
+                    break
+                latency = time.perf_counter() - t0
+                if t0 >= cutoff:
+                    hist.record(latency)
+                    nbytes += len(resp.body)
+                    count += 1
+                    if resp.status >= 400:
+                        errors += 1
         with results_lock:
             results.append((hist, nbytes, count, errors))
 
-    threads = [threading.Thread(target=connection_loop) for _ in range(cfg.connections)]
+    threads = [threading.Thread(target=connection_loop, args=(conn,)) for conn in opened]
     for t in threads:
         t.start()
     for t in threads:
@@ -470,18 +429,19 @@ def run_audit(
     if runs < 2:
         raise ValueError("audits need at least 2 runs to report a rest-of-runs median")
     clock = clock if clock is not None else SYSTEM_CLOCK
-    apply_reset(target, reset)
-    tgt = as_target(target)
     server_times: list[float] = []
     fcps: list[float] = []
     statuses: list[str] = []
-    for _ in range(runs):
-        resp = tgt.fetch(page, clock)
-        if resp.status != 200:
-            raise TargetUnreachableError(f"audit fetch of {page} returned {resp.status}")
-        server_times.append(resp.server_time)
-        fcps.append(fcp_proxy(resp, profile))
-        statuses.append(resp.cache_status.value)
+    with _open(target) as tgt:
+        apply_reset(tgt, reset)
+        fetch = _fetch(tgt)
+        for _ in range(runs):
+            resp = fetch(page, clock)
+            if resp.status != 200:
+                raise TargetUnreachableError(f"audit fetch of {page} returned {resp.status}")
+            server_times.append(resp.server_time)
+            fcps.append(fcp_proxy(resp, profile))
+            statuses.append(resp.cache_status.value)
 
     def metric(values: Sequence[float]) -> AuditMetric:
         rest = values[1:]

@@ -1,6 +1,10 @@
 """HTTP/1.1 serving for workers and the standalone content API.
 
-Each served variant exposes its worker on one port. Responses carry
+Each served variant exposes its worker on one port (an IPv6 literal
+host such as ``::1`` binds IPv6). A GET's page, which is also its cache
+key, is the request path without its query string and without one
+trailing slash: ``/posts/post-1/?utm=x`` is ``/posts/post-1``, and ``/``
+stays ``/``. No page of the site depends on the query. Responses carry
 two diagnostic headers consumed by the benchmark client and external
 tools:
 
@@ -19,10 +23,13 @@ fetches pay the configured origin delay.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 from .clock import SYSTEM_CLOCK
 from .content import NotFoundError, UpstreamConfig, generate_posts, upstream_fetch
@@ -54,7 +61,8 @@ class _VariantHandler(_SilentHandler):
     worker: EdgeWorker  # set on the subclass by VariantServer
 
     def do_GET(self) -> None:
-        resp = self.worker.handle_request(self.path, SYSTEM_CLOCK)
+        page = urlsplit(self.path).path.removesuffix("/") or "/"
+        resp = self.worker.handle_request(page, SYSTEM_CLOCK)
         self._send(
             resp.status,
             resp.body,
@@ -101,12 +109,30 @@ class _ContentHandler(_SilentHandler):
         self._send(404, b'{"error": "not found"}', "application/json")
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """Binds IPv6 for an IPv6 literal and tracks open connections so a stop can end them."""
+
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], handler_cls: type[BaseHTTPRequestHandler]):
+        self.address_family = socket.AF_INET6 if ":" in address[0] else socket.AF_INET
+        self.open_connections: set[socket.socket] = set()
+        super().__init__(address, handler_cls)
+
+    def process_request(self, request, client_address) -> None:
+        self.open_connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self.open_connections.discard(request)
+        super().shutdown_request(request)
+
+
 class _Server:
     """Owns a ThreadingHTTPServer running on a daemon thread."""
 
     def __init__(self, handler_cls: type[BaseHTTPRequestHandler], host: str, port: int):
-        self._httpd = ThreadingHTTPServer((host, port), handler_cls)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), handler_cls)
         self._thread: threading.Thread | None = None
 
     @property
@@ -116,14 +142,18 @@ class _Server:
     @property
     def url(self) -> str:
         host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop accepting, and end open keep-alive connections so none reaches a stopped server."""
         self._httpd.shutdown()
+        for conn in list(self._httpd.open_connections):
+            with contextlib.suppress(OSError):  # closed by its handler meanwhile
+                conn.shutdown(socket.SHUT_RDWR)
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

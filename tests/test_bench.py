@@ -1,8 +1,11 @@
 """Histogram accuracy, load-run accounting, target URLs, audits, comparison tables."""
 
+import itertools
 import math
 import random
 import statistics
+import time
+from http.client import HTTPConnection
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from edgelab.bench import (
     LatencyHistogram,
     ResetPolicy,
     TargetUnreachableError,
+    apply_reset,
     run_audit,
     run_load,
 )
@@ -183,9 +187,36 @@ def test_simulated_load_rejects_url_targets():
         run_load("http://127.0.0.1:1", BenchConfig(duration=1.0), VirtualClock())
 
 
-def test_wallclock_load_against_dead_port_is_unreachable():
+def test_wallclock_load_against_dead_port_is_unreachable(monkeypatch):
+    # Each connection gives up at its first refused connect instead of
+    # reconnecting for the whole run.
+    connects = []
+    real_connect = HTTPConnection.connect
+
+    def counted_connect(self):
+        connects.append(self)
+        return real_connect(self)
+
+    monkeypatch.setattr(HTTPConnection, "connect", counted_connect)
+    t0 = time.perf_counter()
     with pytest.raises(TargetUnreachableError):
-        run_load("http://127.0.0.1:1", BenchConfig(duration=0.4, connections=2))
+        run_load("http://127.0.0.1:1", BenchConfig(duration=5.0, connections=2))
+    assert time.perf_counter() - t0 < 1.0
+    assert len(connects) <= 2 * 2
+
+
+def test_wallclock_load_errors_inside_discard_window_are_not_counted():
+    calls = itertools.count()
+    steady = constant_handler(0.001)
+
+    def fails_first(path, clock):
+        if next(calls) == 0:
+            raise ConnectionResetError("first request fails")
+        return steady(path, clock)
+
+    report = run_load(fails_first, BenchConfig(duration=0.4, connections=2, discard_first=0.2))
+    assert report.total_responses > 0
+    assert report.error_count == 0
 
 
 def test_discard_first_must_be_shorter_than_duration():
@@ -319,6 +350,19 @@ def test_audit_needs_at_least_two_runs(posts10, build10):
     w.deploy(build10, posts10)
     with pytest.raises(ValueError):
         run_audit(w, "/", runs=1, clock=VirtualClock())
+
+
+def test_audit_of_bare_handler_without_reset():
+    handler = constant_handler(0.002)
+    rep = run_audit(handler, "/", runs=3, reset=ResetPolicy(purge=False), clock=VirtualClock())
+    assert rep.server_times == (0.002,) * 3
+
+
+def test_bare_handler_cannot_purge_or_cold_reset():
+    with pytest.raises(TypeError, match="cannot purge"):
+        run_audit(constant_handler(0.002), "/", runs=2, clock=VirtualClock())
+    with pytest.raises(TypeError, match="cannot reset"):
+        apply_reset(constant_handler(0.002), ResetPolicy(purge=False, cold=True))
 
 
 def test_audit_404_page_is_unreachable(posts10, build10):

@@ -105,6 +105,14 @@ def test_rejects_discarding_the_whole_bench_run():
         from_dict(data)
 
 
+def test_rejects_word_min_above_word_max():
+    data = preset("core-three").to_dict()
+    data["word_min"], data["word_max"] = 500, 50
+    with pytest.raises(ConfigError, match="word_min.*word_max"):
+        from_dict(data)
+    assert from_dict({"word_min": 50, "word_max": 50}).word_max == 50
+
+
 def test_rejects_duplicate_variant_names():
     data = preset("core-three").to_dict()
     data["variants"][1]["name"] = data["variants"][0]["name"]

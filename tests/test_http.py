@@ -1,13 +1,16 @@
 """HTTP layer: variant servers, admin endpoints, the content API."""
 
+import contextlib
 import json
 from http.client import HTTPConnection
 
 import pytest
 
-from edgelab.bench import ResetPolicy, run_audit
+from edgelab import httpserve
+from edgelab.bench import ResetPolicy, _HttpTarget, run_audit
+from edgelab.clock import SYSTEM_CLOCK
 from edgelab.content import UpstreamConfig, generate_posts, make_post
-from edgelab.edge import EdgeWorker, Strategy, StrategyConfig
+from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
 from edgelab.httpserve import ContentServer, VariantServer
 
 pytestmark = pytest.mark.wallclock
@@ -69,6 +72,16 @@ def test_keep_alive_reuses_one_connection(isr_server):
         conn.close()
 
 
+@pytest.mark.parametrize("variant", ["{page}?utm=x", "{page}/", "{page}/?utm=x"])
+def test_query_and_trailing_slash_share_the_page_and_its_cache_entry(isr_server, posts10, variant):
+    page = f"/posts/{posts10[0].slug}"
+    assert _get(isr_server, page)[2]["x-edge-cache"] == "MISS"
+    status, _, headers = _get(isr_server, variant.format(page=page))
+    assert status == 200
+    assert headers["x-edge-cache"] == "HIT"
+    assert _get(isr_server, "/?a=1")[0] == 200
+
+
 def test_unknown_path_is_404_bypass(isr_server):
     status, _, headers = _get(isr_server, "/no/such/page")
     assert status == 404
@@ -110,6 +123,48 @@ def test_audit_over_http(isr_server):
     assert rep.cache_statuses == ("MISS", "HIT", "HIT", "HIT", "HIT")
     assert rep.server_time.run_1 >= 0.02
     assert rep.server_time.median_rest < 0.02
+
+
+def test_audit_over_http_uses_one_connection(isr_server, monkeypatch):
+    accepted = []
+    real_setup = httpserve._VariantHandler.setup
+
+    def counted_setup(self):
+        accepted.append(self.client_address)
+        real_setup(self)
+
+    monkeypatch.setattr(httpserve._VariantHandler, "setup", counted_setup)
+    rep = run_audit(isr_server.url, "/", runs=5, reset=ResetPolicy(purge=True, cold=True))
+    assert rep.cache_statuses == ("MISS", "HIT", "HIT", "HIT", "HIT")
+    assert len(accepted) == 1
+
+
+def test_stale_keep_alive_connection_is_retried(posts10, build10):
+    # A restart ends the keep-alive connection; the next request on the same
+    # target is retried once on a fresh connection to the new server.
+    def isr_worker():
+        worker = EdgeWorker(StrategyConfig(strategy=Strategy.ISR, upstream_delay=0.0))
+        worker.deploy(build10, posts10)
+        return worker
+
+    first = VariantServer(isr_worker())
+    with contextlib.closing(_HttpTarget(first.url)) as target:
+        with first:
+            assert target.handle_request("/", SYSTEM_CLOCK).cache_status is CacheStatus.MISS
+            assert target.handle_request("/", SYSTEM_CLOCK).cache_status is CacheStatus.HIT
+        with VariantServer(isr_worker(), port=first.port):
+            resp = target.handle_request("/", SYSTEM_CLOCK)
+    assert resp.status == 200
+    assert resp.cache_status is CacheStatus.MISS  # the restarted server's empty cache
+
+
+def test_serves_ipv6_literal_host(posts10, build10):
+    worker = EdgeWorker(StrategyConfig(strategy=Strategy.ISR, upstream_delay=0.0))
+    worker.deploy(build10, posts10)
+    with VariantServer(worker, host="::1") as server:
+        assert server.url == f"http://[::1]:{server.port}"
+        rep = run_audit(server.url, "/", runs=3, reset=ResetPolicy(purge=True))
+    assert rep.cache_statuses == ("MISS", "HIT", "HIT")
 
 
 def test_content_api_list_and_single_post():
