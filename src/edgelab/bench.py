@@ -75,6 +75,11 @@ class LatencyHistogram:
         self.max_value = 0.0
         self.sum_value = 0.0
         self.clamped_count = 0
+        # The last in-range sample and its bucket: simulated latencies
+        # repeat, and the log in _bucket_index dominates record's cost.
+        # NaN equals nothing, so the memo starts empty.
+        self._last_sample = math.nan
+        self._last_index = 0
 
     @staticmethod
     def _bucket_index(value: float) -> int:
@@ -85,12 +90,15 @@ class LatencyHistogram:
         return HIST_LOW * HIST_GROWTH ** (index + 0.5)
 
     def record(self, sample: float) -> None:
-        if sample < HIST_LOW or sample > HIST_HIGH:
+        if sample == self._last_sample:
+            idx = self._last_index
+        elif sample < HIST_LOW or sample > HIST_HIGH:
             self.clamped_count += 1
-            sample_for_bucket = min(max(sample, HIST_LOW), HIST_HIGH)
+            idx = min(self._bucket_index(min(max(sample, HIST_LOW), HIST_HIGH)), _N_BUCKETS - 1)
         else:
-            sample_for_bucket = sample
-        idx = min(self._bucket_index(sample_for_bucket), _N_BUCKETS - 1)
+            idx = min(self._bucket_index(sample), _N_BUCKETS - 1)
+            self._last_sample = sample
+            self._last_index = idx
         self.counts[idx] += 1
         self.total_count += 1
         self.sum_value += sample
@@ -309,10 +317,13 @@ def _run_load_simulated(
     background: SerialScheduler | None,
 ) -> BenchReport:
     fetch = _fetch(target)
+    path = cfg.target_path
     start = clock.now()
     deadline = start + cfg.duration
     cutoff = start + cfg.discard_first
     hist = LatencyHistogram()
+    record = hist.record
+    heappop, heappush = heapq.heappop, heapq.heappush
     conn_clocks = [clock.fork() for _ in range(cfg.connections)]
     heap: list[tuple[float, int]] = [(start, i) for i in range(cfg.connections)]
     heapq.heapify(heap)
@@ -321,22 +332,23 @@ def _run_load_simulated(
     errors = 0
 
     while heap:
-        t, i = heapq.heappop(heap)
+        t, i = heappop(heap)
         if t >= deadline:
             continue
         conn = conn_clocks[i]
         conn.jump_to(t)
-        resp = fetch(cfg.target_path, conn)
-        latency = conn.now() - t
+        resp = fetch(path, conn)
+        # Background tasks run on forks, so draining leaves conn where it is.
+        now = conn.now()
         if t >= cutoff:
-            hist.record(latency)
+            record(now - t)
             total_bytes += len(resp.body)
             responses += 1
             if resp.status >= 400:
                 errors += 1
-        if background is not None:
+        if background is not None and background.pending:
             background.drain()
-        heapq.heappush(heap, (conn.now(), i))
+        heappush(heap, (now, i))
 
     clock.jump_to(deadline)
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
@@ -366,6 +378,7 @@ def _load_report(
 
 def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
     results: list[tuple[LatencyHistogram, int, int, int]] = []
+    failures: list[Exception] = []
     results_lock = threading.Lock()
     # One target per connection, opened here so a bad URL raises in the caller.
     opened = [_open(target) for _ in range(cfg.connections)]
@@ -383,10 +396,12 @@ def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
             while (t0 := time.perf_counter()) < deadline:
                 try:
                     resp = fetch(cfg.target_path, SYSTEM_CLOCK)
-                except Exception:
+                except Exception as exc:
                     # A connection ends at its first failure, so a dead target fails fast.
                     if t0 >= cutoff:
                         errors += 1
+                    with results_lock:
+                        failures.append(exc)
                     break
                 latency = time.perf_counter() - t0
                 if t0 >= cutoff:
@@ -414,6 +429,9 @@ def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
         total_bytes += nbytes
         responses += count
         errors += errs
+    if responses == 0 and failures:
+        # Say why the target is dead (refused, timed out, reset), not only that it is.
+        raise TargetUnreachableError(str(failures[0]) or type(failures[0]).__name__) from failures[0]
     return _load_report(merged, total_bytes, responses, errors, elapsed - cfg.discard_first, cfg)
 
 

@@ -95,11 +95,8 @@ class CacheEntry:
     stored_at: float
     deploy_id: int
 
-    def is_stale(self, now: float, ttl: float | None) -> bool:
-        return ttl is not None and (now - self.stored_at) > ttl
 
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Response:
     status: int
     body: bytes
@@ -127,7 +124,9 @@ class EdgeWorker:
     Thread safety: ``handle_request`` may be called from any number of
     threads. The deployment is swapped as a single reference; cache
     mutations happen under a lock (reads are lock-free snapshot reads).
-    A fresh worker starts cold.
+    A fresh worker starts cold. The cold flag is read without the lock
+    and re-checked under it only when set, so exactly one request pays
+    the cold-start penalty.
     """
 
     def __init__(self, config: StrategyConfig, scheduler: Scheduler | None = None):
@@ -228,10 +227,9 @@ class EdgeWorker:
             entry = None  # guards a racing write from a request begun pre-deploy
 
         if entry is not None:
-            if not entry.is_stale(clock.now(), ttl):
-                return Response(
-                    200, entry.page.body, clock.now() - start, CacheStatus.HIT, entry.deploy_id
-                )
+            now = clock.now()
+            if ttl is None or now - entry.stored_at <= ttl:
+                return Response(200, entry.page.body, now - start, CacheStatus.HIT, entry.deploy_id)
             if cfg.strategy is Strategy.SWR:
                 # Serve the stale bytes now; refresh for later requests.
                 self._schedule_revalidation(path, key, clock)
@@ -297,6 +295,8 @@ class EdgeWorker:
         self._scheduler.submit(revalidate)
 
     def _consume_cold(self) -> bool:
+        if not self._cold:
+            return False
         with self._lock:
             if self._cold:
                 self._cold = False

@@ -148,6 +148,41 @@ def test_percentiles_track_oracle_and_stay_monotone(values):
         previous = got
 
 
+def reference_histogram(samples):
+    """counts, total, sum, max and clamped count with a bucket lookup for every sample."""
+    counts = [0] * len(LatencyHistogram().counts)
+    total_sum, maximum, clamped = 0.0, 0.0, 0
+    for v in samples:
+        in_range = min(max(v, HIST_LOW), HIST_HIGH)
+        clamped += in_range != v
+        counts[min(LatencyHistogram._bucket_index(in_range), len(counts) - 1)] += 1
+        total_sum += v
+        maximum = max(maximum, v)
+    return counts, len(samples), total_sum, maximum, clamped
+
+
+_EDGE_SAMPLES = (0.0, -1.0, HIST_LOW, HIST_LOW / 10, HIST_HIGH, HIST_HIGH * 2)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_EDGE_SAMPLES), st.floats(min_value=0.0, max_value=120.0)),
+            st.integers(min_value=1, max_value=4),
+        ),
+        max_size=60,
+    )
+)
+def test_repeated_sample_memo_matches_a_lookup_per_sample(runs):
+    samples = [v for v, n in runs for _ in range(n)]
+    h = LatencyHistogram()
+    for v in samples:
+        h.record(v)
+    got = (h.counts, h.total_count, h.sum_value, h.max_value, h.clamped_count)
+    assert got == reference_histogram(samples)
+
+
 # ---------------------------------------------------------------- run_load
 
 
@@ -187,9 +222,10 @@ def test_simulated_load_rejects_url_targets():
         run_load("http://127.0.0.1:1", BenchConfig(duration=1.0), VirtualClock())
 
 
+@pytest.mark.wallclock
 def test_wallclock_load_against_dead_port_is_unreachable(monkeypatch):
     # Each connection gives up at its first refused connect instead of
-    # reconnecting for the whole run.
+    # reconnecting for the whole run, and the error says why.
     connects = []
     real_connect = HTTPConnection.connect
 
@@ -199,12 +235,14 @@ def test_wallclock_load_against_dead_port_is_unreachable(monkeypatch):
 
     monkeypatch.setattr(HTTPConnection, "connect", counted_connect)
     t0 = time.perf_counter()
-    with pytest.raises(TargetUnreachableError):
+    with pytest.raises(TargetUnreachableError, match="refused") as raised:
         run_load("http://127.0.0.1:1", BenchConfig(duration=5.0, connections=2))
     assert time.perf_counter() - t0 < 1.0
+    assert raised.value.__cause__ is not None
     assert len(connects) <= 2 * 2
 
 
+@pytest.mark.wallclock
 def test_wallclock_load_errors_inside_discard_window_are_not_counted():
     calls = itertools.count()
     steady = constant_handler(0.001)

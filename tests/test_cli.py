@@ -94,6 +94,7 @@ def test_bench_deterministic_url_is_rejected(capsys):
 
 def test_bench_unreachable_url_exits_5(capsys):
     assert main(["bench", "--url", "http://127.0.0.1:1", "--duration", "0.4"]) == 5
+    assert "refused" in capsys.readouterr().err
 
 
 def test_bench_discard_whole_run_is_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Edge worker: per-strategy cache semantics, deploys, cold starts."""
 
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -206,6 +207,54 @@ def test_cold_start_penalty_is_one_shot(posts10, build10):
     w.cold_worker()
     assert w.handle_request("/", clock).server_time == pytest.approx(BASE + 0.1)
     assert w.handle_request("/", clock).server_time == pytest.approx(BASE)
+
+
+class _YieldingLock:
+    """A lock that gives up the interpreter lock before each acquire.
+
+    Under the GIL no thread switch falls between a bare flag read and the
+    ``with`` that follows it, so racing threads are made to meet there.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        time.sleep(0)
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+@pytest.mark.wallclock
+def test_cold_start_penalty_is_paid_once_by_concurrent_first_requests(posts10, build10):
+    # The cold flag is read without the lock; the re-check under it must
+    # still let exactly one of several racing first requests pay.
+    cfg = StrategyConfig(strategy=Strategy.STATIC, cold_start_penalty=1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            w = EdgeWorker(cfg)
+            w.deploy(build10, posts10)
+            w._lock = _YieldingLock()
+            start = threading.Barrier(8)
+            times = []
+
+            def first_request():
+                start.wait(timeout=5)
+                times.append(w.handle_request("/", VirtualClock()).server_time)
+
+            threads = [threading.Thread(target=first_request) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(times) == pytest.approx([BASE] * 7 + [BASE + 1.0])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_server_time_decomposition_is_exact(posts10, build10):

@@ -93,3 +93,45 @@ def test_benchmark_tracer_fits_the_package(posts10):
     assert stats["ssg.incremental_rebuild"][0] == 1
     assert counts.get("ssg.pages_rebuilt", 0) == 0
     assert ssg.build_site is original
+
+
+# The all-five deterministic experiment at 2 s of load. c10 only compares
+# two runs of one build, so these figures are what catches a speed-up of
+# the request path that also moves a number. They change only with a
+# deliberate change of the simulated behaviour.
+_BASE_PCTS = {"50": 0.993482, "75": 0.993482, "90": 0.993482, "97.5": 0.993482,
+              "99": 0.993482, "99.9": 0.993482, "99.99": 0.993482}
+PINNED_BENCH = {
+    "static": (20010, 1.0, {**_BASE_PCTS, "100": 1.0}),
+    "ssr": (200, 101.0, {**dict.fromkeys(_BASE_PCTS, 100.230496), "100": 101.0}),
+    "isr": (19910, 1.005023, {**_BASE_PCTS, "100": 101.0}),
+    "swr": (19910, 1.005023, {**_BASE_PCTS, "100": 101.0}),
+    "dpr": (19910, 1.005023, {**_BASE_PCTS, "100": 101.0}),
+}
+_BYPASS = ("BYPASS",) * 5
+_MISS_THEN_HITS = ("MISS", "HIT", "HIT", "HIT", "HIT")
+PINNED_AUDITS = {
+    "static": (_BYPASS, {"run_1": 1.0, "median_rest": 1.0, "average_rest": 1.0}),
+    "ssr": (_BYPASS, {"run_1": 101.0, "median_rest": 101.0, "average_rest": 101.0}),
+    "isr": (_MISS_THEN_HITS, {"run_1": 101.0, "median_rest": 1.0, "average_rest": 1.0}),
+    "swr": (_MISS_THEN_HITS, {"run_1": 101.0, "median_rest": 1.0, "average_rest": 1.0}),
+    "dpr": (_MISS_THEN_HITS, {"run_1": 101.0, "median_rest": 1.0, "average_rest": 1.0}),
+}
+
+
+def test_all_five_deterministic_figures_are_pinned():
+    cfg = preset("all-five")
+    cfg = replace(cfg, bench=replace(cfg.bench, duration=2.0))
+    summary = run_experiment(cfg, deterministic=True).summary
+    bench = {
+        b["variant"]: (b["total_responses"], b["avg_latency_ms"], b["percentiles_ms"])
+        for b in summary["bench"]
+    }
+    assert bench == PINNED_BENCH
+    audits = [(a["label"], tuple(a["cache_statuses"]), a["server_time_ms"]) for a in summary["audits"]]
+    expected = [
+        (f"{variant} {page}", *PINNED_AUDITS[variant])
+        for variant in PINNED_AUDITS
+        for page in ("index", "post-0")
+    ]
+    assert audits == expected
