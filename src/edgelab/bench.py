@@ -27,17 +27,18 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import socket
 import statistics
 import threading
 import time
 import urllib.parse
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from http.client import HTTPConnection, HTTPException, HTTPResponse
 from typing import Callable, Sequence, Union
 
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
 from .edge import CacheStatus, EdgeWorker, Response
+from .httpserve import MAX_LINE, read_headers
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy
 
 PERCENTILE_POINTS = (50.0, 75.0, 90.0, 97.5, 99.0, 99.9, 99.99, 100.0)
@@ -219,52 +220,78 @@ def _host_port(url: str) -> tuple[str, int]:
 class _HttpTarget:
     """A served variant behind the worker's interface, over one keep-alive connection.
 
-    The socket opens on the first request and is kept until ``close``. A
-    request that fails on a reused connection (the server may have closed
-    it while idle) is retried once on a fresh one, which RFC 9112 section
-    9.3.1 allows because GET and both admin POSTs are idempotent in
-    effect; a failure on a fresh connection means the target is
-    unreachable. Server time comes from the x-server-time-us response
-    header so the client's own overhead does not pollute the server-side
-    metric.
+    The socket opens on the first request and is kept until ``close``, a
+    ``Connection: close`` or an HTTP/1.0 response. A response must be
+    framed by ``content-length``. A request that fails on a reused
+    connection (the server may have closed it while idle) is retried once
+    on a fresh one, which RFC 9112 section 9.3.1 allows because GET and
+    both admin POSTs are idempotent in effect; a failure on a fresh
+    connection means the target is unreachable. Server time comes from the
+    x-server-time-us response header so the client's own overhead does not
+    pollute the server-side metric.
     """
 
     def __init__(self, base_url: str):
-        self._conn = HTTPConnection(*_host_port(base_url), timeout=30)
+        self._address = host, port = _host_port(base_url)
+        self._head_tail = f" HTTP/1.1\r\nHost: {f'[{host}]' if ':' in host else host}:{port}\r\n"
+        self._sock: socket.socket | None = None
+        self._rfile = None
 
     def close(self) -> None:
-        self._conn.close()
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
-    def _request(self, method: str, path: str) -> tuple[HTTPResponse, bytes]:
-        reused = self._conn.sock is not None
+    def _request(self, method: str, path: str) -> tuple[int, dict[str, str], bytes]:
+        reused = self._sock is not None
         try:
-            self._conn.request(method, path)
-            resp = self._conn.getresponse()
-            return resp, resp.read()
-        except (OSError, HTTPException) as exc:
-            self._conn.close()
+            if not reused:
+                self._sock = socket.create_connection(self._address, timeout=30)
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._rfile = self._sock.makefile("rb")
+            framing = "Content-Length: 0\r\n" if method == "POST" else ""
+            self._sock.sendall(f"{method} {path}{self._head_tail}{framing}\r\n".encode())
+            status_line = self._rfile.readline(MAX_LINE + 1)
+            if not status_line:
+                raise ConnectionError("connection closed before the response")
+            version, status, *_ = status_line.split(None, 2)
+            if not version.startswith(b"HTTP/1."):
+                raise ValueError(f"not an HTTP/1.x response: {status_line[:64]!r}")
+            headers = read_headers(self._rfile)
+            length = headers.get("content-length", "")
+            if "transfer-encoding" in headers or not length.isdigit():
+                raise ValueError("response not framed by content-length")
+            body = self._rfile.read(int(length))
+            if len(body) != int(length):
+                raise ConnectionError(f"response body cut short at {len(body)} of {length} bytes")
+            if version == b"HTTP/1.0" or headers.get("connection", "").lower() == "close":
+                self.close()
+            return int(status), headers, body
+        except (OSError, ValueError) as exc:
+            self.close()
             if reused:
                 return self._request(method, path)
-            raise TargetUnreachableError(f"{self._conn.host}:{self._conn.port} unreachable: {exc}") from exc
+            raise TargetUnreachableError(f"{self._address[0]}:{self._address[1]} unreachable: {exc}") from exc
 
     def handle_request(self, path: str, clock: Clock) -> Response:
         t0 = clock.now()
-        resp, body = self._request("GET", path)
-        server_us = resp.getheader("x-server-time-us")
+        status, headers, body = self._request("GET", path)
+        server_us = headers.get("x-server-time-us")
         server_time = int(server_us) / 1e6 if server_us is not None else clock.now() - t0
-        cache_status = CacheStatus(resp.getheader("x-edge-cache", "BYPASS"))
-        return Response(resp.status, body, server_time, cache_status)
+        cache_status = CacheStatus(headers.get("x-edge-cache", "BYPASS"))
+        return Response(status, body, server_time, cache_status)
 
     def purge_cache(self) -> int:
-        resp, body = self._request("POST", "/__admin/purge")
-        if resp.status != 200:
-            raise TargetUnreachableError(f"purge failed with status {resp.status}")
+        status, _, body = self._request("POST", "/__admin/purge")
+        if status != 200:
+            raise TargetUnreachableError(f"purge failed with status {status}")
         return int(json.loads(body)["removed"])
 
     def cold_worker(self) -> None:
-        resp, _ = self._request("POST", "/__admin/cold")
-        if resp.status != 200:
-            raise TargetUnreachableError(f"cold reset failed with status {resp.status}")
+        status, _, _ = self._request("POST", "/__admin/cold")
+        if status != 200:
+            raise TargetUnreachableError(f"cold reset failed with status {status}")
 
 
 def _open(target: Target):

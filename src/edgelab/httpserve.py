@@ -19,15 +19,28 @@ The content API mirrors the simulated origin over HTTP: ``GET /posts``
 returns the full post list, ``GET /posts/<id>`` one post, both as JSON
 objects with fields ``id``, ``slug``, ``title``, ``body``. Single-post
 fetches pay the configured origin delay.
+
+Framing: HTTP/1.0 and HTTP/1.1 only (HTTP/0.9 gets 400, other versions
+505), keep-alive unless the request says ``Connection: close`` or is
+HTTP/1.0 without ``keep-alive``. A request head has at most 100 header
+lines of at most 65,536 bytes each (431 beyond). A request body framed
+by ``content-length`` is read and discarded before dispatch (over 1 MiB
+gets 413); ``Transfer-Encoding`` gets 501 and a close. Each response is
+one write with a ``content-length``. ``read_headers`` is the header
+reader of both this server and the load client in ``bench``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import re
 import socket
 import threading
+import time
 from dataclasses import asdict
+from email.utils import formatdate
+from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -35,26 +48,111 @@ from .clock import SYSTEM_CLOCK
 from .content import NotFoundError, UpstreamConfig, generate_posts, upstream_fetch
 from .edge import EdgeWorker
 
+# Header limits at the stdlib's values: 100 header lines, 65,536 bytes a line.
+MAX_HEADERS = 100
+MAX_LINE = 65536
+MAX_BODY = 1 << 20  # a larger request body gets 413
+_END_OF_HEAD = (b"\r\n", b"\n", b"")
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 section 5.6.2 token
+_HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
+
+
+class HeaderError(ValueError):
+    """A malformed header line (``status`` 400) or an exceeded header limit (431)."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
+def read_headers(fp) -> dict[str, str]:
+    """Header lines from buffered ``fp`` up to the blank line or EOF, keyed by lower-case name.
+
+    A repeated name keeps its values comma-joined (RFC 9110 section 5.3).
+    Raises ``HeaderError`` on a malformed line or an exceeded limit.
+    """
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        if (line := fp.readline(MAX_LINE + 1)) in _END_OF_HEAD:
+            return headers
+        if len(line) > MAX_LINE:
+            raise HeaderError("header line too long", 431)
+        name, colon, value = line.partition(b":")
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise HeaderError(f"malformed header line {line[:64]!r}")
+        key = name.decode().lower()
+        value = value.strip().decode("iso-8859-1")
+        headers[key] = f"{headers[key]}, {value}" if key in headers else value
+    raise HeaderError(f"more than {MAX_HEADERS} headers", 431)
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    return formatdate(second, usegmt=True)
+
 
 class _SilentHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # One TCP segment per response: without these, headers and body go out
-    # as separate writes and Nagle + delayed ACK stall loopback keep-alive
-    # connections at ~40 ms per request.
+    # Each response is one buffered write, flushed once by
+    # handle_one_request; Nagle stays off so none waits on a delayed ACK.
     disable_nagle_algorithm = True
     wbufsize = 64 * 1024
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         pass
 
+    def parse_request(self) -> bool:
+        """The stdlib's checks, ``Connection``, ``Expect`` and ``//`` handling on ``read_headers``, plus body framing."""
+        self.command = None
+        self.request_version = "HTTP/1.0"  # so an error before the version is known has a status line
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3:
+            if words:
+                self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path, version = words
+        if version not in ("HTTP/1.1", "HTTP/1.0"):
+            self.send_error(505 if _HTTP_VERSION.fullmatch(version) else 400, f"Bad request version ({version!r})")
+            return False
+        self.command, self.request_version = command, version
+        # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = headers = read_headers(self.rfile)
+        except HeaderError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
+        if "transfer-encoding" in headers:
+            self.send_error(501, "Transfer-Encoding is not supported")
+            return False
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, f"Bad Content-Length ({length!r})")
+            return False
+        if int(length) > MAX_BODY:
+            self.send_error(413)
+            return False
+        if version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()
+        self.rfile.read(int(length))
+        return True
+
     def _send(self, status: int, body: bytes, content_type: str, extra: dict[str, str] | None = None) -> None:
-        self.send_response(status)
-        self.send_header("content-type", content_type)
-        self.send_header("content-length", str(len(body)))
-        for k, v in (extra or {}).items():
-            self.send_header(k, v)
-        self.end_headers()
-        self.wfile.write(body)
+        head = [
+            f"HTTP/1.1 {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {_http_date(int(time.time()))}",
+            f"content-type: {content_type}",
+            f"content-length: {len(body)}",
+            *(f"{k}: {v}" for k, v in (extra or {}).items()),
+            "\r\n",
+        ]
+        self.wfile.write("\r\n".join(head).encode("iso-8859-1") + body)
 
 
 class _VariantHandler(_SilentHandler):

@@ -1,13 +1,17 @@
 """HTTP layer: variant servers, admin endpoints, the content API."""
 
 import contextlib
+import itertools
 import json
+import socket
+import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
 
 from edgelab import httpserve
-from edgelab.bench import ResetPolicy, _HttpTarget, run_audit
+from edgelab.bench import ResetPolicy, TargetUnreachableError, _HttpTarget, run_audit
 from edgelab.clock import SYSTEM_CLOCK
 from edgelab.content import UpstreamConfig, generate_posts, make_post
 from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
@@ -190,3 +194,262 @@ def test_content_api_not_found():
         assert _get(server, "/posts/10")[0] == 404
         assert _get(server, "/posts/banana")[0] == 404
         assert _get(server, "/other")[0] == 404
+
+
+# ------------------------------------------------ the server, over a raw socket
+
+
+def _exchange(server, *chunks, wait_for=None):
+    """Send ``chunks`` on a fresh connection and read until the server closes it.
+
+    With ``wait_for``, the chunks after the first are sent only once the
+    bytes read so far contain it. A close with request bytes still unread
+    is a reset on Linux; it ends the read like a clean close.
+    """
+    received = b""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(chunks[0])
+        if wait_for is not None:
+            while wait_for not in received:
+                received += sock.recv(65536)
+        for chunk in chunks[1:]:
+            sock.sendall(chunk)
+        with contextlib.suppress(ConnectionResetError):
+            while data := sock.recv(65536):
+                received += data
+    return received
+
+
+def _responses(raw):
+    """Split raw response bytes into ``(status, headers, body)`` by content-length."""
+    out = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("iso-8859-1").split("\r\n")
+        headers = {k.strip().lower(): v.strip() for k, _, v in (line.partition(":") for line in lines)}
+        length = int(headers.get("content-length", 0))
+        out.append((int(status_line.split()[1]), headers, rest[:length]))
+        raw = rest[length:]
+    return out
+
+
+def test_leading_double_slash_collapses_to_one(isr_server, posts10, build10):
+    page = f"/posts/{posts10[0].slug}"
+    raw = _exchange(isr_server, f"GET /{page} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode())
+    [(status, _, body)] = _responses(raw)
+    assert status == 200
+    assert body == build10.pages[page].body
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        pytest.param(b"GARBAGE\r\n\r\n", 400, id="garbage"),
+        pytest.param(b"GET /\r\n\r\n", 400, id="http-0.9"),
+        pytest.param(b"GET / HTTP/x\r\n\r\n", 400, id="bad-version"),
+        pytest.param(b"GET / HTTP/2.0\r\n\r\n", 505, id="http-2.0"),
+        pytest.param(
+            b"GET / HTTP/1.1\r\n" + b"".join(b"x-h%d: v\r\n" % i for i in range(101)) + b"\r\n", 431, id="101-headers"
+        ),
+        pytest.param(b"GET / HTTP/1.1\r\nx-big: " + b"v" * 70_000 + b"\r\n\r\n", 431, id="70kb-line"),
+        pytest.param(b"GET / HTTP/1.1\r\nno colon here\r\n\r\n", 400, id="no-colon"),
+        pytest.param(b"GET / HTTP/1.1\r\nbad name: v\r\n\r\n", 400, id="bad-name"),
+        pytest.param(b"POST /__admin/purge HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400, id="bad-length"),
+        pytest.param(b"POST /__admin/purge HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413, id="large-body"),
+        pytest.param(
+            b"POST /__admin/purge HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+            501,
+            id="transfer-encoding",
+        ),
+    ],
+)
+def test_bad_request_gets_its_status_and_the_connection_closes(isr_server, request_bytes, status):
+    # _exchange returns only once the server has closed the connection.
+    [(got, headers, _)] = _responses(_exchange(isr_server, request_bytes))
+    assert got == status
+    assert headers["connection"] == "close"
+
+
+def test_one_hundred_headers_are_accepted(isr_server):
+    request = b"GET / HTTP/1.1\r\n" + b"".join(b"x-h%d: v\r\n" % i for i in range(99)) + b"Connection: close\r\n\r\n"
+    [(status, _, _)] = _responses(_exchange(isr_server, request))
+    assert status == 200
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"GET / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        b"GET / HTTP/1.0\r\n\r\n",
+    ],
+)
+def test_response_then_close(isr_server, build10, head):
+    [(status, _, body)] = _responses(_exchange(isr_server, head))
+    assert status == 200
+    assert body == build10.pages["/"].body
+
+
+def test_http_1_0_keep_alive_keeps_the_connection(isr_server):
+    head = b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+    raw = _exchange(isr_server, head + b"GET / HTTP/1.0\r\n\r\n")
+    assert [status for status, _, _ in _responses(raw)] == [200, 200]
+
+
+def test_request_body_is_read_before_the_next_request(isr_server):
+    # The body used to be left on the connection and read as the start of
+    # the next request line: "501 Unsupported method ('{}GET')".
+    raw = _exchange(
+        isr_server,
+        b"POST /__admin/purge HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+        b"GET / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    )
+    (purge_status, _, purge_body), (get_status, get_headers, _) = _responses(raw)
+    assert (purge_status, json.loads(purge_body)) == (200, {"removed": 0})
+    assert (get_status, get_headers["x-edge-cache"]) == (200, "MISS")
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(isr_server):
+    raw = _exchange(
+        isr_server,
+        b"POST /__admin/purge HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+        b"Content-Length: 2\r\nConnection: close\r\n\r\n",
+        b"{}",
+        wait_for=b"\r\n\r\n",
+    )
+    assert raw.startswith(b"HTTP/1.1 100 Continue\r\n\r\n")
+    (cont, _, _), (status, _, body) = _responses(raw)
+    assert (cont, status, json.loads(body)) == (100, 200, {"removed": 0})
+
+
+# ------------------------------------------------ the client, against a fake server
+
+
+class _FakeServer:
+    """One-connection-at-a-time raw HTTP server for the client's sake.
+
+    It answers the n-th request on its c-th connection with ``reply(c, n)``
+    and keeps the connection open unless ``close`` is set. Request heads
+    are kept in ``heads``.
+    """
+
+    def __init__(self, reply, close=False, host="127.0.0.1"):
+        self._reply, self._close = reply, close
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, 0), family=family)
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self.url = f"http://[{host}]:{self.port}" if ":" in host else f"http://{host}:{self.port}"
+        self.heads: list[bytes] = []
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self):
+        for c in itertools.count():
+            while True:
+                try:
+                    conn, _ = self._listener.accept()
+                    break
+                except TimeoutError:
+                    if self._stopping.is_set():
+                        return
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as rfile:
+                for n in itertools.count():
+                    head = b""
+                    while (line := rfile.readline()) not in (b"\r\n", b""):
+                        head += line
+                    if not line:
+                        break  # the client closed
+                    self.heads.append(head)
+                    conn.sendall(self._reply(c, n))
+                    if self._close:
+                        break
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stopping.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+
+
+def _reply(body, *headers, version=b"HTTP/1.1"):
+    return version + b" 200 OK\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
+
+
+@pytest.mark.parametrize(
+    "reply, close",
+    [
+        (_reply(b"no framing", b"x-edge-cache: HIT"), False),
+        (_reply(b"chunked", b"Transfer-Encoding: chunked"), False),
+        (_reply(b"short", b"Content-Length: 100"), True),
+        (_reply(b"", b"x-big: " + b"v" * 70_000, b"Content-Length: 0"), False),
+        (b"", True),
+        (b"SSH-2.0-OpenSSH\r\n\r\n", True),
+    ],
+    ids=["no-content-length", "transfer-encoding", "cut-short", "long-header", "no-response", "not-http"],
+)
+def test_client_rejects_a_bad_response_without_hanging(reply, close):
+    with _FakeServer(lambda c, n: reply, close=close) as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
+        t0 = time.perf_counter()
+        with pytest.raises(TargetUnreachableError) as raised:
+            target.handle_request("/", SYSTEM_CLOCK)
+        assert time.perf_counter() - t0 < 5
+        assert raised.value.__cause__ is not None
+
+
+@pytest.mark.parametrize(
+    "headers, version",
+    [((b"Connection: close",), b"HTTP/1.1"), ((), b"HTTP/1.0")],
+    ids=["connection-close", "http-1.0"],
+)
+def test_client_opens_a_fresh_connection_after_a_closing_response(headers, version):
+    # The fake server keeps every connection open and tags each response
+    # with its connection, so reusing a connection would read "conn 0" again.
+    def reply(c, n):
+        body = b"conn %d" % c
+        return _reply(body, *headers, b"Content-Length: %d" % len(body), version=version)
+
+    with _FakeServer(reply) as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
+        bodies = [target.handle_request("/", SYSTEM_CLOCK).body for _ in range(3)]
+    assert bodies == [b"conn 0", b"conn 1", b"conn 2"]
+
+
+def test_client_sends_a_bracketed_host_for_ipv6():
+    reply = _reply(b"ok", b"Content-Length: 2")
+    with _FakeServer(lambda c, n: reply, host="::1") as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
+        target.handle_request("/", SYSTEM_CLOCK)
+    assert fake.heads[0].startswith(b"GET / HTTP/1.1\r\n")
+    assert f"Host: [::1]:{fake.port}\r\n".encode() in fake.heads[0]
+
+
+def test_client_posts_admin_requests_with_an_empty_body():
+    reply = _reply(b'{"removed": 3}', b"Content-Length: 14")
+    with _FakeServer(lambda c, n: reply) as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
+        assert target.purge_cache() == 3
+    assert fake.heads[0].startswith(b"POST /__admin/purge HTTP/1.1\r\n")
+    assert b"Content-Length: 0\r\n" in fake.heads[0]
+
+
+def test_client_reads_what_http_client_reads(isr_server):
+    # Replay one MISS, one HIT and one 404 of a real server to both clients.
+    request = b"GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    recorded = [_exchange(isr_server, request % path) for path in (b"/", b"/", b"/no/such/page")]
+    for raw in recorded:
+        with _FakeServer(lambda c, n, raw=raw: raw) as fake:
+            with contextlib.closing(_HttpTarget(fake.url)) as target:
+                ours = target.handle_request("/", SYSTEM_CLOCK)
+            ref = HTTPConnection("127.0.0.1", fake.port, timeout=5)
+            try:
+                ref.request("GET", "/")
+                resp = ref.getresponse()
+                ref_body = resp.read()
+            finally:
+                ref.close()
+        assert ours.status == resp.status
+        assert ours.body == ref_body
+        assert ours.cache_status.value == resp.getheader("x-edge-cache")
+        assert ours.server_time == int(resp.getheader("x-server-time-us")) / 1e6
+    assert [_responses(raw)[0][1]["x-edge-cache"] for raw in recorded] == ["MISS", "HIT", "BYPASS"]
