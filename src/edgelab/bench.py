@@ -357,23 +357,32 @@ def _run_load_simulated(
     total_bytes = 0
     responses = 0
     errors = 0
+    queue = background._queue if background is not None else ()
 
+    # Invariant: a connection's clock reads its event time t when the event
+    # pops, because the event was pushed at conn.now() (and all start at
+    # ``start``); background tasks run on forks, so draining leaves conn
+    # where it is. A request must advance conn, or it would be pushed back
+    # at the same t forever.
     while heap:
         t, i = heappop(heap)
         if t >= deadline:
             continue
         conn = conn_clocks[i]
-        conn.jump_to(t)
         resp = fetch(path, conn)
-        # Background tasks run on forks, so draining leaves conn where it is.
         now = conn.now()
+        if now <= t:
+            raise ValueError(
+                f"a simulated request to {path} took no virtual time; each one must "
+                "advance the clock (is base_handling 0?)"
+            )
         if t >= cutoff:
             record(now - t)
             total_bytes += len(resp.body)
             responses += 1
             if resp.status >= 400:
                 errors += 1
-        if background is not None and background.pending:
+        if queue:
             background.drain()
         heappush(heap, (now, i))
 

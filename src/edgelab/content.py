@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .clock import SYSTEM_CLOCK, Clock
 
@@ -73,6 +73,21 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("n must be positive")
         return self.next_int() % n
+
+    def below_many(self, n: int, k: int) -> list[int]:
+        """``k`` draws in [0, n): the same as ``k`` calls of ``below(n)``, in one loop."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        state = self._state
+        out = []
+        append = out.append
+        for _ in range(k):
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _M1) & _MASK64
+            z = ((z ^ (z >> 27)) * _M2) & _MASK64
+            append((z ^ (z >> 31)) % n)
+        self._state = state
+        return out
 
 
 def _stream_seed(seed: int, post_id: int) -> int:
@@ -123,10 +138,10 @@ def make_post(
     if post_id < 0:
         raise ValueError("post_id must be >= 0")
     rng = SplitMix64(_stream_seed(seed, post_id))
-    title_words = [_LEXICON[rng.below(len(_LEXICON))] for _ in range(3 + rng.below(5))]
-    title = " ".join(title_words).capitalize()
+    word = _LEXICON.__getitem__
+    title = " ".join(map(word, rng.below_many(len(_LEXICON), 3 + rng.below(5)))).capitalize()
     n_words = word_min + rng.below(word_max - word_min + 1)
-    body = " ".join(_LEXICON[rng.below(len(_LEXICON))] for _ in range(n_words))
+    body = " ".join(map(word, rng.below_many(len(_LEXICON), n_words)))
     return Post(id=post_id, slug=f"post-{post_id}", title=title, body=body)
 
 
@@ -156,5 +171,9 @@ def upstream_fetch(post_id: int, cfg: UpstreamConfig, clock: Clock = SYSTEM_CLOC
 
 def content_digest(posts: list[Post]) -> str:
     """Order-sensitive 256-bit digest over every field of every post."""
-    payload = json.dumps([asdict(p) for p in posts], separators=(",", ":"), sort_keys=True)
+    payload = json.dumps(
+        [{"id": p.id, "slug": p.slug, "title": p.title, "body": p.body} for p in posts],
+        separators=(",", ":"),
+        sort_keys=True,
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -54,6 +54,12 @@ class CacheStatus(Enum):
     BYPASS = "BYPASS"
 
 
+# Bound once: an enum member lookup (``Strategy.STATIC``) costs several
+# times a module-global read, and the request path makes several per call.
+_STATIC, _SSR, _SWR, _DPR = Strategy.STATIC, Strategy.SSR, Strategy.SWR, Strategy.DPR
+_HIT, _MISS, _STALE, _BYPASS = CacheStatus.HIT, CacheStatus.MISS, CacheStatus.STALE, CacheStatus.BYPASS
+
+
 class StaleDeployError(ValueError):
     """Deploy id is not greater than the currently deployed one."""
 
@@ -127,6 +133,13 @@ class EdgeWorker:
     A fresh worker starts cold. The cold flag is read without the lock
     and re-checked under it only when set, so exactly one request pays
     the cold-start penalty.
+
+    Under a ``VirtualClock`` the simulated load driver hands each request
+    a connection clock that already reads the request's event time, and
+    schedules that connection's next request at the clock's reading when
+    ``handle_request`` returns. Every simulated request must therefore
+    advance the clock it is given (``base_handling`` > 0, or some other
+    delay); the driver rejects a response that took no virtual time.
     """
 
     def __init__(self, config: StrategyConfig, scheduler: Scheduler | None = None):
@@ -184,36 +197,30 @@ class EdgeWorker:
         if dep is None:
             raise RuntimeError("no deployment: call deploy() before serving")
         cfg = self.config
+        strategy = cfg.strategy
         start = clock.now()
         clock.sleep(cfg.base_handling)
-        if self._consume_cold():
+        if self._cold and self._consume_cold():
             clock.sleep(cfg.cold_start_penalty)
 
-        prebuilt = dep.build.pages.get(path)
+        build = dep.build
+        prebuilt = build.pages.get(path)
         if prebuilt is None:
             # 404s behave identically across strategies and are never cached.
-            return Response(404, _NOT_FOUND_BODY, clock.now() - start, CacheStatus.BYPASS)
+            return Response(404, _NOT_FOUND_BODY, clock.now() - start, _BYPASS)
+        deploy_id = build.deploy_id
 
-        if cfg.strategy is Strategy.STATIC:
-            return Response(
-                200, prebuilt.body, clock.now() - start, CacheStatus.BYPASS, dep.build.deploy_id
-            )
+        if strategy is _STATIC:
+            return Response(200, prebuilt.body, clock.now() - start, _BYPASS, deploy_id)
 
-        if cfg.strategy is Strategy.SSR:
+        if strategy is _SSR:
             try:
                 page = self._render(dep, path, clock)
             except UpstreamError:
-                return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, CacheStatus.BYPASS)
-            return Response(
-                200, page.body, clock.now() - start, CacheStatus.BYPASS, dep.build.deploy_id
-            )
+                return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, _BYPASS)
+            return Response(200, page.body, clock.now() - start, _BYPASS, deploy_id)
 
-        return self._handle_cached(dep, path, clock, start)
-
-    def _handle_cached(self, dep: Deployment, path: str, clock: Clock, start: float) -> Response:
-        cfg = self.config
-        deploy_id = dep.build.deploy_id
-        if cfg.strategy is Strategy.DPR:
+        if strategy is _DPR:
             key: object = (path, deploy_id)
             ttl = None  # DPR staleness is deploy-scoped, never time-based
         else:
@@ -223,29 +230,27 @@ class EdgeWorker:
         if cfg.kv_read_delay:
             clock.sleep(cfg.kv_read_delay)
         entry = self._cache.get(key)
-        if entry is not None and cfg.strategy is Strategy.DPR and entry.deploy_id != deploy_id:
+        if entry is not None and strategy is _DPR and entry.deploy_id != deploy_id:
             entry = None  # guards a racing write from a request begun pre-deploy
 
         if entry is not None:
             now = clock.now()
             if ttl is None or now - entry.stored_at <= ttl:
-                return Response(200, entry.page.body, now - start, CacheStatus.HIT, entry.deploy_id)
-            if cfg.strategy is Strategy.SWR:
+                return Response(200, entry.page.body, now - start, _HIT, entry.deploy_id)
+            if strategy is _SWR:
                 # Serve the stale bytes now; refresh for later requests.
                 self._schedule_revalidation(path, key, clock)
-                return Response(
-                    200, entry.page.body, clock.now() - start, CacheStatus.STALE, entry.deploy_id
-                )
+                return Response(200, entry.page.body, clock.now() - start, _STALE, entry.deploy_id)
             # ISR with a finite ttl treats stale as a miss: re-render inline.
 
         try:
             page = self._render(dep, path, clock)
         except UpstreamError:
-            return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, CacheStatus.BYPASS)
+            return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, _BYPASS)
         new_entry = CacheEntry(path=path, page=page, stored_at=clock.now(), deploy_id=deploy_id)
         with self._lock:
             self._cache[key] = new_entry
-        return Response(200, page.body, clock.now() - start, CacheStatus.MISS, deploy_id)
+        return Response(200, page.body, clock.now() - start, _MISS, deploy_id)
 
     def _render(self, dep: Deployment, path: str, clock: Clock) -> RenderedPage:
         """Fetch content from the simulated origin and render the page.
@@ -295,8 +300,7 @@ class EdgeWorker:
         self._scheduler.submit(revalidate)
 
     def _consume_cold(self) -> bool:
-        if not self._cold:
-            return False
+        """Clear the cold flag under the lock; True only for the request that cleared it."""
         with self._lock:
             if self._cold:
                 self._cold = False

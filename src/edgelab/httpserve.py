@@ -4,7 +4,8 @@ Each served variant exposes its worker on one port (an IPv6 literal
 host such as ``::1`` binds IPv6). A GET's page, which is also its cache
 key, is the request path without its query string and without one
 trailing slash: ``/posts/post-1/?utm=x`` is ``/posts/post-1``, and ``/``
-stays ``/``. No page of the site depends on the query. Responses carry
+stays ``/``. No page of the site depends on the query. The content API
+reads its paths by the same rule (``request_page``). Responses carry
 two diagnostic headers consumed by the benchmark client and external
 tools:
 
@@ -55,6 +56,8 @@ MAX_BODY = 1 << 20  # a larger request body gets 413
 _END_OF_HEAD = (b"\r\n", b"\n", b"")
 _FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 section 5.6.2 token
 _HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
+# How often ``serve_forever`` checks for a stop request: ``stop`` waits up to this long.
+_POLL_INTERVAL = 0.01
 
 
 class HeaderError(ValueError):
@@ -84,6 +87,11 @@ def read_headers(fp) -> dict[str, str]:
         value = value.strip().decode("iso-8859-1")
         headers[key] = f"{headers[key]}, {value}" if key in headers else value
     raise HeaderError(f"more than {MAX_HEADERS} headers", 431)
+
+
+def request_page(target: str) -> str:
+    """A GET's page: the request target without its query string and one trailing slash."""
+    return urlsplit(target).path.removesuffix("/") or "/"
 
 
 @lru_cache(maxsize=1)
@@ -159,8 +167,7 @@ class _VariantHandler(_SilentHandler):
     worker: EdgeWorker  # set on the subclass by VariantServer
 
     def do_GET(self) -> None:
-        page = urlsplit(self.path).path.removesuffix("/") or "/"
-        resp = self.worker.handle_request(page, SYSTEM_CLOCK)
+        resp = self.worker.handle_request(request_page(self.path), SYSTEM_CLOCK)
         self._send(
             resp.status,
             resp.body,
@@ -187,7 +194,8 @@ class _ContentHandler(_SilentHandler):
     upstream: UpstreamConfig  # set on the subclass by ContentServer
 
     def do_GET(self) -> None:
-        if self.path == "/posts":
+        page = request_page(self.path)
+        if page == "/posts":
             posts = generate_posts(
                 self.upstream.seed, self.upstream.post_count,
                 self.upstream.word_min, self.upstream.word_max,
@@ -195,8 +203,8 @@ class _ContentHandler(_SilentHandler):
             body = json.dumps([asdict(p) for p in posts]).encode()
             self._send(200, body, "application/json")
             return
-        if self.path.startswith("/posts/"):
-            raw = self.path.removeprefix("/posts/")
+        if page.startswith("/posts/"):
+            raw = page.removeprefix("/posts/")
             try:
                 post = upstream_fetch(int(raw), self.upstream, SYSTEM_CLOCK)
             except (ValueError, NotFoundError):
@@ -243,7 +251,9 @@ class _Server:
         return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(_POLL_INTERVAL,), daemon=True
+        )
         self._thread.start()
 
     def stop(self) -> None:

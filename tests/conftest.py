@@ -1,8 +1,35 @@
+import contextlib
+import signal
+
 import pytest
 
 from edgelab.content import generate_posts
 from edgelab.edge import EdgeWorker, Strategy, StrategyConfig
 from edgelab.ssg import build_site
+
+
+class Overran(Exception):
+    """A call was still running when its ``deadline`` expired."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` raises ``Overran`` in the test's thread if the block takes over ``s`` seconds."""
+    return _deadline
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,13 @@ def test_simulated_load_exact_accounting():
     assert report.bytes_per_second == pytest.approx(512 * 300, rel=0.01)
 
 
+def test_simulated_request_taking_no_virtual_time_is_rejected(worker_factory, deadline):
+    # Such a response would be rescheduled at its own event time forever.
+    worker = worker_factory(Strategy.STATIC, base_handling=0.0)
+    with deadline(1.0), pytest.raises(ValueError, match="took no virtual time"):
+        run_load(worker, BenchConfig(duration=1.0, connections=1), VirtualClock())
+
+
 def test_simulated_load_discard_first():
     cfg = BenchConfig(duration=10.0, connections=2, discard_first=5.0)
     report = run_load(constant_handler(0.01), cfg, VirtualClock())

@@ -106,6 +106,18 @@ def test_bench_discard_whole_run_is_config_error(tmp_path, capsys):
     assert "discard_first" in capsys.readouterr().err
 
 
+def test_deterministic_bench_of_a_zero_cost_variant_exits_2(tmp_path, capsys, deadline):
+    data = json.loads((Path(__file__).parents[1] / "config.example.json").read_text())
+    static = next(v for v in data["variants"] if v["name"] == "static")
+    static["base_handling"] = 0
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(data))
+    argv = ["bench", "--config", str(cfg), "--variant", "static", "--deterministic", "--duration", "1"]
+    with deadline(10.0):
+        assert main(argv) == 2
+    assert "took no virtual time" in capsys.readouterr().err
+
+
 def test_bench_url_with_base_path_is_config_error(capsys):
     assert main(["bench", "--url", "http://127.0.0.1:1/base", "--duration", "0.4"]) == 2
 

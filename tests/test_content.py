@@ -44,6 +44,17 @@ def test_prng_matches_reference_for_any_seed(seed):
     assert [rng.next_int() for _ in range(3)] == reference_stream(seed, 3)
 
 
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.integers(min_value=1, max_value=MASK64),
+    st.integers(min_value=0, max_value=64),
+)
+def test_below_many_equals_that_many_calls_of_below(seed, n, k):
+    one_by_one, batched = SplitMix64(seed), SplitMix64(seed)
+    assert batched.below_many(n, k) == [one_by_one.below(n) for _ in range(k)]
+    assert batched.next_int() == one_by_one.next_int()  # both streams end in the same state
+
+
 def test_zero_count_gives_empty_list():
     assert generate_posts(42, 0) == []
 

@@ -188,6 +188,32 @@ def test_content_api_list_and_single_post():
         assert got["body"] == want.body
 
 
+@pytest.mark.parametrize(
+    "target, plain",
+    [("/posts?x=1", "/posts"), ("/posts/", "/posts"), ("/posts/1?x=1", "/posts/1"), ("/posts/1/", "/posts/1")],
+)
+def test_content_api_reads_targets_like_the_variant_servers(target, plain):
+    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=3)
+    with ContentServer(upstream) as server:
+        status, body, _ = _get(server, target)
+        assert (status, body) == _get(server, plain)[:2]
+    assert status == 200
+
+
+def test_server_stops_promptly():
+    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=3)
+    server = ContentServer(upstream)
+    server.start()
+    try:
+        statuses = [_get(server, "/posts/1")[0] for _ in range(3)]
+    finally:
+        t0 = time.perf_counter()
+        server.stop()
+        elapsed = time.perf_counter() - t0
+    assert statuses == [200, 200, 200]
+    assert elapsed < 0.1
+
+
 def test_content_api_not_found():
     upstream = UpstreamConfig(seed=5, delay=0.0, post_count=10)
     with ContentServer(upstream) as server:
