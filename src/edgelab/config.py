@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError("render_overhead must be >= 0")
         if self.post_count < 0:
             raise ConfigError("post_count must be >= 0")
+        if self.word_min < 1:
+            raise ConfigError(f"word_min ({self.word_min}) must be >= 1")
         if self.word_min > self.word_max:
             raise ConfigError(
                 f"word_min ({self.word_min}) must not exceed word_max ({self.word_max})"

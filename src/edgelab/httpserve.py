@@ -206,7 +206,10 @@ class _ContentHandler(_SilentHandler):
         if page.startswith("/posts/"):
             raw = page.removeprefix("/posts/")
             try:
-                post = upstream_fetch(int(raw), self.upstream, SYSTEM_CLOCK)
+                post_id = int(raw)
+                if str(post_id) != raw:  # one URL per post: "03", "+3" and "0_3" are not ids
+                    raise NotFoundError(raw)
+                post = upstream_fetch(post_id, self.upstream, SYSTEM_CLOCK)
             except (ValueError, NotFoundError):
                 self._send(404, b'{"error": "no such post"}', "application/json")
                 return

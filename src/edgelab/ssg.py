@@ -3,13 +3,19 @@
 Templates are plain string interpolation embedded here; there is no
 template engine. Rendering is deterministic, so a page's content hash
 doubles as its identity and incremental rebuilds can be checked
-page-for-page against a fresh build.
+page-for-page against a fresh build. The hash is computed from the body
+when it is read (``page_hashes`` for the build manifest), so a render
+pays no sha256. Text is passed through ``html.escape`` only when it
+contains a character that escaping changes.
+
+An incremental rebuild decides what to re-render by comparing each
+page's inputs with the previous build's: the ``Post`` itself for a post
+page and the ``(id, slug, title)`` triples of every post for the index.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from html import escape
@@ -51,36 +57,40 @@ _POST_TEMPLATE = """<!doctype html>
 """
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _escape(text: str) -> str:
+    # Most text has nothing to escape; five memchr scans are cheaper than
+    # escape()'s five replace() passes.
+    if "&" in text or "<" in text or ">" in text or '"' in text or "'" in text:
+        return escape(text)
+    return text
 
 
 @dataclass(frozen=True)
 class RenderedPage:
     path: str
     body: bytes
-    content_hash: str
 
-    @classmethod
-    def from_html(cls, path: str, html: str) -> "RenderedPage":
-        body = html.encode("utf-8")
-        return cls(path=path, body=body, content_hash=_digest(body))
+    @property
+    def content_hash(self) -> str:
+        """sha256 of ``body``, computed on each read."""
+        return hashlib.sha256(self.body).hexdigest()
 
 
 @dataclass(frozen=True)
 class SiteBuild:
     """Immutable snapshot of a deploy: every page of the site at one instant.
 
-    ``source_keys`` holds the per-page digests of the inputs each page
-    was rendered from; incremental rebuilds compare against them to
-    decide what can be reused.
+    ``source_keys`` holds, per page, the inputs it was rendered from:
+    the ``Post`` for a post page, the ``(id, slug, title)`` triples for
+    the index. Incremental rebuilds compare them for equality to decide
+    what can be reused; they never leave the process.
     """
 
     deploy_id: int
     pages: Mapping[str, RenderedPage]
     source_digest: str
     built_at: float
-    source_keys: Mapping[str, str] = field(default_factory=dict)
+    source_keys: Mapping[str, object] = field(default_factory=dict)
 
     def page_hashes(self) -> dict[str, str]:
         return {path: page.content_hash for path, page in self.pages.items()}
@@ -93,25 +103,14 @@ def post_path(post: Post) -> str:
 def render_index(posts: Iterable[Post]) -> RenderedPage:
     """Index page at "/": one anchor per post, in id order."""
     items = "".join(
-        f'<li><a href="{post_path(p)}">{escape(p.title)}</a></li>\n' for p in posts
+        f'<li><a href="{POST_PATH_PREFIX}{p.slug}">{_escape(p.title)}</a></li>\n' for p in posts
     )
-    return RenderedPage.from_html(INDEX_PATH, _INDEX_TEMPLATE.format(items=items))
+    return RenderedPage(INDEX_PATH, _INDEX_TEMPLATE.format(items=items).encode())
 
 
 def render_post(post: Post) -> RenderedPage:
-    html = _POST_TEMPLATE.format(title=escape(post.title), body=escape(post.body))
-    return RenderedPage.from_html(post_path(post), html)
-
-
-def _index_source_key(posts: list[Post]) -> str:
-    # Only fields that appear in index links; body edits must not touch "/".
-    payload = json.dumps([[p.id, p.slug, p.title] for p in posts], separators=(",", ":"))
-    return _digest(payload.encode("utf-8"))
-
-
-def _post_source_key(post: Post) -> str:
-    payload = json.dumps([post.id, post.slug, post.title, post.body], separators=(",", ":"))
-    return _digest(payload.encode("utf-8"))
+    html = _POST_TEMPLATE.format(title=_escape(post.title), body=_escape(post.body))
+    return RenderedPage(post_path(post), html.encode())
 
 
 def _render_site(
@@ -123,10 +122,11 @@ def _render_site(
     """Render the pages whose source key differs from ``prev``'s; reuse the rest."""
     prev_keys = prev.source_keys if prev is not None else {}
     pages: dict[str, RenderedPage] = {}
-    keys: dict[str, str] = {}
+    keys: dict[str, object] = {}
     rebuilt: set[str] = set()
 
-    index_key = _index_source_key(posts)
+    # Only fields that appear in index links; body edits must not touch "/".
+    index_key = tuple((p.id, p.slug, p.title) for p in posts)
     if prev_keys.get(INDEX_PATH) == index_key:
         pages[INDEX_PATH] = prev.pages[INDEX_PATH]
     else:
@@ -136,13 +136,12 @@ def _render_site(
 
     for post in posts:
         path = post_path(post)
-        key = _post_source_key(post)
-        if prev_keys.get(path) == key:
+        if prev_keys.get(path) == post:
             pages[path] = prev.pages[path]
         else:
             pages[path] = render_post(post)
             rebuilt.add(path)
-        keys[path] = key
+        keys[path] = post
 
     return (
         SiteBuild(

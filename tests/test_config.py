@@ -113,6 +113,12 @@ def test_rejects_word_min_above_word_max():
     assert from_dict({"word_min": 50, "word_max": 50}).word_max == 50
 
 
+@pytest.mark.parametrize("word_min, word_max", [(-5, -3), (0, 10), (0, 0)])
+def test_rejects_word_min_below_one(word_min, word_max):
+    with pytest.raises(ConfigError, match="word_min"):
+        ExperimentConfig(word_min=word_min, word_max=word_max)
+
+
 def test_rejects_duplicate_variant_names():
     data = preset("core-three").to_dict()
     data["variants"][1]["name"] = data["variants"][0]["name"]

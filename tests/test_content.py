@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from edgelab.clock import VirtualClock
 from edgelab.content import (
+    _LANES,
     NotFoundError,
     SplitMix64,
     UpstreamConfig,
@@ -44,15 +45,56 @@ def test_prng_matches_reference_for_any_seed(seed):
     assert [rng.next_int() for _ in range(3)] == reference_stream(seed, 3)
 
 
-@given(
-    st.integers(min_value=0, max_value=MASK64),
-    st.integers(min_value=1, max_value=MASK64),
-    st.integers(min_value=0, max_value=64),
-)
-def test_below_many_equals_that_many_calls_of_below(seed, n, k):
+def _assert_below_many_matches_below(seed, n, k):
     one_by_one, batched = SplitMix64(seed), SplitMix64(seed)
     assert batched.below_many(n, k) == [one_by_one.below(n) for _ in range(k)]
     assert batched.next_int() == one_by_one.next_int()  # both streams end in the same state
+
+
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.one_of(st.sampled_from([1, 2, MASK64]), st.integers(min_value=1, max_value=MASK64)),
+    st.integers(min_value=0, max_value=2600),
+)
+def test_below_many_equals_that_many_calls_of_below(seed, n, k):
+    _assert_below_many_matches_below(seed, n, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1, 2500])
+@pytest.mark.parametrize("n", [1, 69, MASK64])
+def test_below_many_matches_below_across_lane_blocks(n, k):
+    assert _LANES < 2500  # 2500 draws span more than one block
+    for seed in (0, MASK64, 0x0123456789ABCDEF):
+        _assert_below_many_matches_below(seed, n, k)
+
+
+def test_below_many_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        SplitMix64(1).below_many(10, -1)
+    with pytest.raises(ValueError):
+        SplitMix64(1).below_many(0, 3)
+
+
+@pytest.mark.parametrize("word_min, word_max", [(-5, -3), (0, 10), (0, 0), (10, 5)])
+def test_post_generation_rejects_bad_word_bounds(word_min, word_max):
+    with pytest.raises(ValueError):
+        make_post(42, 0, word_min, word_max)
+    for count in (0, 3):
+        with pytest.raises(ValueError):
+            generate_posts(42, count, word_min, word_max)
+
+
+def test_generated_content_is_pinned():
+    # Digests recorded before below_many drew its words in packed lanes;
+    # the second needs up to 3000 draws per post, several lane blocks.
+    assert (
+        content_digest(generate_posts(42, 100))
+        == "1270e14fa17d9445ab88618aeea8fe81470787e2fdfa932fff4e0051900351e5"
+    )
+    assert (
+        content_digest(generate_posts(7, 3, 1000, 3000))
+        == "c051f3aa81ac2d98f11db72add9d3bd92dd5bc85371e5c83b818dbe707787fc2"
+    )
 
 
 def test_zero_count_gives_empty_list():

@@ -200,6 +200,16 @@ def test_content_api_reads_targets_like_the_variant_servers(target, plain):
     assert status == 200
 
 
+@pytest.mark.parametrize("raw_id", ["1_0", "+3", "03", "٣", "-0"])
+def test_content_api_serves_a_post_only_at_its_canonical_id(raw_id):
+    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=20)
+    with ContentServer(upstream) as server:
+        request = f"GET /posts/{raw_id} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        [(status, _, _)] = _responses(_exchange(server, request.encode()))
+        assert status == 404
+        assert [_get(server, f"/posts/{i}")[0] for i in ("0", "3", "10")] == [200, 200, 200]
+
+
 def test_server_stops_promptly():
     upstream = UpstreamConfig(seed=5, delay=0.0, post_count=3)
     server = ContentServer(upstream)

@@ -1,7 +1,9 @@
 """Site generator: rendering, incremental rebuilds, disk export."""
 
+import hashlib
 import re
 from dataclasses import replace
+from html import escape
 
 import pytest
 
@@ -51,13 +53,30 @@ def test_render_post_deterministic():
     assert render_post(post).content_hash == render_post(post).content_hash
 
 
-def test_html_is_escaped():
-    evil = Post(id=0, slug="post-0", title='<script>alert("x")</script>', body="a & b < c")
-    index = render_index([evil]).body.decode()
-    page = render_post(evil).body.decode()
-    assert "<script>" not in index and "<script>" not in page
-    assert "&lt;script&gt;" in index
-    assert "a &amp; b &lt; c" in page
+@pytest.mark.parametrize("char", ["&", "<", ">", '"', "'"])
+@pytest.mark.parametrize("field", ["title", "body"])
+def test_html_is_escaped(char, field):
+    text = f"a {char} b"
+    post = replace(Post(id=0, slug="post-0", title="title", body="body"), **{field: text})
+    pages = [render_post(post).body.decode()]
+    if field == "title":
+        pages.append(render_index([post]).body.decode())
+    for page in pages:
+        assert text not in page
+        assert escape(text) in page
+
+
+def test_site_build_is_pinned():
+    # Recorded before renders skipped escape() and source keys stopped
+    # being digests: the manifest's page hashes and source digest.
+    build = build_site(generate_posts(42, 100), built_at=0.0)
+    hashes = build.page_hashes()
+    manifest = "\n".join(f"{path} {hashes[path]}" for path in sorted(hashes))
+    manifest += "\n" + build.source_digest
+    assert hashlib.sha256(manifest.encode()).hexdigest() == (
+        "afb21bb069a94a1c2fb993ce1129e07a7800cda969336f8e24772c6afff321e1"
+    )
+    assert build.source_digest == "1270e14fa17d9445ab88618aeea8fe81470787e2fdfa932fff4e0051900351e5"
 
 
 def test_build_site_page_count():
