@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .bench import AuditReport, BenchConfig, BenchReport, LatencyHistogram, run_audit, run_load
 from .clock import SerialScheduler, SystemClock, VirtualClock
 from .config import ConfigError, ExperimentConfig, preset
-from .content import Post, UpstreamConfig, content_digest, generate_posts, upstream_fetch
+from .content import Post, content_digest, generate_posts
 from .edge import CacheStatus, EdgeWorker, Response, Strategy, StrategyConfig
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy, transfer_time
 from .ssg import SiteBuild, build_site, export_site, incremental_rebuild
@@ -23,7 +23,7 @@ __all__ = [
     "run_audit", "run_load",
     "SerialScheduler", "SystemClock", "VirtualClock",
     "ConfigError", "ExperimentConfig", "preset",
-    "Post", "UpstreamConfig", "content_digest", "generate_posts", "upstream_fetch",
+    "Post", "content_digest", "generate_posts",
     "CacheStatus", "EdgeWorker", "Response", "Strategy", "StrategyConfig",
     "PROFILES", "ThrottleProfile", "fcp_proxy", "transfer_time",
     "SiteBuild", "build_site", "export_site", "incremental_rebuild",

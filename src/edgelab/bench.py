@@ -188,11 +188,9 @@ class AuditMetric:
 class AuditReport:
     page: str
     runs: int
-    reset: ResetPolicy
     server_time: AuditMetric
     fcp_proxy: AuditMetric
     cache_statuses: tuple[str, ...]
-    profile: ThrottleProfile
     server_times: tuple[float, ...] = field(default=())
 
 
@@ -508,10 +506,8 @@ def run_audit(
     return AuditReport(
         page=page,
         runs=runs,
-        reset=reset,
         server_time=metric(server_times),
         fcp_proxy=metric(fcps),
         cache_statuses=tuple(statuses),
-        profile=profile,
         server_times=tuple(server_times),
     )

@@ -29,7 +29,7 @@ from . import __version__
 from .bench import ResetPolicy, TargetUnreachableError, run_audit, run_load
 from .clock import SerialScheduler, VirtualClock
 from .config import ConfigError, ExperimentConfig, load as load_config, preset
-from .content import UpstreamConfig, generate_posts
+from .content import generate_posts
 from .edge import EdgeWorker
 from .experiment import (
     audit_entry,
@@ -140,6 +140,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     base_port = args.base_port if args.base_port is not None else cfg.base_port
+    last_port = base_port + len(cfg.variants) - 1 + args.content_api
+    if not 1 <= base_port <= last_port <= 65535:
+        raise ConfigError(f"ports {base_port}-{last_port} are not all within 1-65535")
     posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
     build = build_site(posts)
 
@@ -154,13 +157,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 servers.append((variant.name, variant.config.strategy.value, server))
                 port += 1
             if args.content_api:
-                upstream = UpstreamConfig(
-                    seed=cfg.seed,
-                    post_count=cfg.post_count,
-                    word_min=cfg.word_min,
-                    word_max=cfg.word_max,
-                )
-                servers.append(("content", "content-api", ContentServer(upstream, args.host, port)))
+                servers.append(("content", "content-api", ContentServer(posts, host=args.host, port=port)))
         except OSError as exc:
             if exc.errno in (errno.EADDRINUSE, errno.EACCES):
                 print(f"error: cannot bind: {exc}", file=sys.stderr)

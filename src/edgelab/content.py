@@ -1,4 +1,4 @@
-"""Deterministic pseudorandom blog content and the simulated origin.
+"""Deterministic pseudorandom blog content.
 
 Posts are derived from a 64-bit seed with splitmix64, so a given
 (seed, post id) pair produces byte-identical content on every platform
@@ -25,9 +25,8 @@ of whole-int shifts, xors and multiplies, masking every lane to 64 bits
 after each shift and multiply. The lanes are then read back as
 little-endian words, whatever the host byte order, and reduced ``% n``.
 
-The simulated origin (``upstream_fetch``) adds a fixed delay per call,
-standing in for the cost of server-side logic behind a real content
-API.
+The content API that serves these posts over HTTP is
+``httpserve.ContentServer``; it serves whatever list it is given.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-
-from .clock import SYSTEM_CLOCK, Clock
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -69,10 +67,6 @@ _LEXICON = (
     "nostrud nulla occaecat officia pariatur proident qui quis reprehenderit "
     "sed sint sit sunt tempor ullamco ut velit veniam voluptate"
 ).split()
-
-
-class NotFoundError(LookupError):
-    """Requested post id is outside the configured range."""
 
 
 def _mix(z: int) -> int:
@@ -140,25 +134,6 @@ class Post:
         return len(self.body.split())
 
 
-@dataclass(frozen=True)
-class UpstreamConfig:
-    """Simulated content origin: which posts exist and what a fetch costs."""
-
-    seed: int
-    delay: float = 0.1
-    post_count: int = 100
-    word_min: int = DEFAULT_WORD_MIN
-    word_max: int = DEFAULT_WORD_MAX
-
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-        if self.post_count < 0:
-            raise ValueError("post_count must be >= 0")
-        if not 1 <= self.word_min <= self.word_max:
-            raise ValueError("need 1 <= word_min <= word_max")
-
-
 def make_post(
     seed: int,
     post_id: int,
@@ -192,19 +167,7 @@ def generate_posts(
     return [make_post(seed, i, word_min, word_max) for i in range(count)]
 
 
-def upstream_fetch(post_id: int, cfg: UpstreamConfig, clock: Clock = SYSTEM_CLOCK) -> Post:
-    """Fetch one post from the simulated origin, paying the configured delay.
-
-    The delay applies per call and is not serialized across callers.
-    Raises NotFoundError for ids outside [0, cfg.post_count).
-    """
-    if not 0 <= post_id < cfg.post_count:
-        raise NotFoundError(f"post {post_id} not in [0, {cfg.post_count})")
-    clock.sleep(cfg.delay)
-    return make_post(cfg.seed, post_id, cfg.word_min, cfg.word_max)
-
-
-def content_digest(posts: list[Post]) -> str:
+def content_digest(posts: Sequence[Post]) -> str:
     """Order-sensitive 256-bit digest over every field of every post."""
     payload = json.dumps(
         [{"id": p.id, "slug": p.slug, "title": p.title, "body": p.body} for p in posts],

@@ -96,7 +96,6 @@ class StrategyConfig:
 
 @dataclass(frozen=True)
 class CacheEntry:
-    path: str
     page: RenderedPage
     stored_at: float
     deploy_id: int
@@ -150,11 +149,6 @@ class EdgeWorker:
         self._lock = threading.Lock()
         self._cold = True
         self._revalidating: set[str] = set()
-
-    @property
-    def current_deploy_id(self) -> int | None:
-        dep = self._deployment
-        return None if dep is None else dep.build.deploy_id
 
     @property
     def cache_size(self) -> int:
@@ -247,7 +241,7 @@ class EdgeWorker:
             page = self._render(dep, path, clock)
         except UpstreamError:
             return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, _BYPASS)
-        new_entry = CacheEntry(path=path, page=page, stored_at=clock.now(), deploy_id=deploy_id)
+        new_entry = CacheEntry(page=page, stored_at=clock.now(), deploy_id=deploy_id)
         with self._lock:
             self._cache[key] = new_entry
         return Response(200, page.body, clock.now() - start, _MISS, deploy_id)
@@ -285,12 +279,7 @@ class EdgeWorker:
                     # stale-if-error (RFC 5861): keep the stale entry; the
                     # next stale read schedules another attempt.
                     return
-                entry = CacheEntry(
-                    path=path,
-                    page=page,
-                    stored_at=task_clock.now(),
-                    deploy_id=dep.build.deploy_id,
-                )
+                entry = CacheEntry(page=page, stored_at=task_clock.now(), deploy_id=dep.build.deploy_id)
                 with self._lock:
                     self._cache[key] = entry
             finally:

@@ -16,10 +16,13 @@ Admin endpoints (POST): ``/__admin/purge`` empties the cache and
 returns ``{"removed": n}``; ``/__admin/cold`` makes the next request
 pay the cold-start penalty.
 
-The content API mirrors the simulated origin over HTTP: ``GET /posts``
-returns the full post list, ``GET /posts/<id>`` one post, both as JSON
-objects with fields ``id``, ``slug``, ``title``, ``body``. Single-post
-fetches pay the configured origin delay.
+The content API serves the posts it is given over HTTP: ``GET /posts``
+returns the full list, ``GET /posts/<id>`` one post, both as JSON
+objects with fields ``id``, ``slug``, ``title``, ``body``. Each body is
+encoded once, when the server is made. A post is found only at its id
+in canonical decimal (``/posts/3``, not ``/posts/03``), and a
+single-post fetch waits the server's ``delay`` first, standing in for
+the server-side work behind a real content API.
 
 Framing: HTTP/1.0 and HTTP/1.1 only (HTTP/0.9 gets 400, other versions
 505), keep-alive unless the request says ``Connection: close`` or is
@@ -43,10 +46,11 @@ from dataclasses import asdict
 from email.utils import formatdate
 from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterable
 from urllib.parse import urlsplit
 
 from .clock import SYSTEM_CLOCK
-from .content import NotFoundError, UpstreamConfig, generate_posts, upstream_fetch
+from .content import Post
 from .edge import EdgeWorker
 
 # Header limits at the stdlib's values: 100 header lines, 65,536 bytes a line.
@@ -191,31 +195,22 @@ class _VariantHandler(_SilentHandler):
 
 
 class _ContentHandler(_SilentHandler):
-    upstream: UpstreamConfig  # set on the subclass by ContentServer
+    # Set on the subclass by ContentServer.
+    list_body: bytes
+    post_bodies: dict[str, bytes]  # keyed by post id in canonical decimal
+    delay: float
 
     def do_GET(self) -> None:
         page = request_page(self.path)
         if page == "/posts":
-            posts = generate_posts(
-                self.upstream.seed, self.upstream.post_count,
-                self.upstream.word_min, self.upstream.word_max,
-            )
-            body = json.dumps([asdict(p) for p in posts]).encode()
+            self._send(200, self.list_body, "application/json")
+        elif not page.startswith("/posts/"):
+            self._send(404, b'{"error": "not found"}', "application/json")
+        elif (body := self.post_bodies.get(page.removeprefix("/posts/"))) is None:
+            self._send(404, b'{"error": "no such post"}', "application/json")
+        else:
+            time.sleep(self.delay)
             self._send(200, body, "application/json")
-            return
-        if page.startswith("/posts/"):
-            raw = page.removeprefix("/posts/")
-            try:
-                post_id = int(raw)
-                if str(post_id) != raw:  # one URL per post: "03", "+3" and "0_3" are not ids
-                    raise NotFoundError(raw)
-                post = upstream_fetch(post_id, self.upstream, SYSTEM_CLOCK)
-            except (ValueError, NotFoundError):
-                self._send(404, b'{"error": "no such post"}', "application/json")
-                return
-            self._send(200, json.dumps(asdict(post)).encode(), "application/json")
-            return
-        self._send(404, b'{"error": "not found"}', "application/json")
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -261,13 +256,13 @@ class _Server:
 
     def stop(self) -> None:
         """Stop accepting, and end open keep-alive connections so none reaches a stopped server."""
-        self._httpd.shutdown()
+        if self._thread is not None:  # else shutdown() waits forever for a serve_forever that never ran
+            self._httpd.shutdown()
+            self._thread.join(timeout=5)
         for conn in list(self._httpd.open_connections):
             with contextlib.suppress(OSError):  # closed by its handler meanwhile
                 conn.shutdown(socket.SHUT_RDWR)
         self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
     def __enter__(self):
         self.start()
@@ -287,9 +282,15 @@ class VariantServer(_Server):
 
 
 class ContentServer(_Server):
-    """Standalone content API serving the simulated origin."""
+    """Content API serving ``posts``; a single-post GET waits ``delay`` seconds first."""
 
-    def __init__(self, upstream: UpstreamConfig, host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundContentHandler", (_ContentHandler,), {"upstream": upstream})
-        super().__init__(handler, host, port)
-        self.upstream = upstream
+    def __init__(self, posts: Iterable[Post], delay: float = 0.1, host: str = "127.0.0.1", port: int = 0):
+        if delay < 0:
+            raise ValueError("delay must be >= 0")
+        encoded = [(str(p.id), json.dumps(asdict(p)).encode()) for p in posts]
+        attrs = {
+            "list_body": b"[" + b", ".join(body for _, body in encoded) + b"]",
+            "post_bodies": dict(encoded),
+            "delay": delay,
+        }
+        super().__init__(type("BoundContentHandler", (_ContentHandler,), attrs), host, port)

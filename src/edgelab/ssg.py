@@ -8,16 +8,18 @@ when it is read (``page_hashes`` for the build manifest), so a render
 pays no sha256. Text is passed through ``html.escape`` only when it
 contains a character that escaping changes.
 
-An incremental rebuild decides what to re-render by comparing each
-page's inputs with the previous build's: the ``Post`` itself for a post
-page and the ``(id, slug, title)`` triples of every post for the index.
+A build keeps the posts it was rendered from. An incremental rebuild
+decides what to re-render by comparing each page's inputs with the
+previous build's: the ``Post`` itself for a post page and the
+``(id, slug, title)`` triples of every post for the index. The content
+digest of a build is computed only when read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html import escape
 from pathlib import Path
 from types import MappingProxyType
@@ -78,19 +80,18 @@ class RenderedPage:
 
 @dataclass(frozen=True)
 class SiteBuild:
-    """Immutable snapshot of a deploy: every page of the site at one instant.
-
-    ``source_keys`` holds, per page, the inputs it was rendered from:
-    the ``Post`` for a post page, the ``(id, slug, title)`` triples for
-    the index. Incremental rebuilds compare them for equality to decide
-    what can be reused; they never leave the process.
-    """
+    """Immutable snapshot of a deploy: every page of the site at one instant,
+    and the posts they were rendered from."""
 
     deploy_id: int
     pages: Mapping[str, RenderedPage]
-    source_digest: str
     built_at: float
-    source_keys: Mapping[str, object] = field(default_factory=dict)
+    posts: tuple[Post, ...]
+
+    @property
+    def source_digest(self) -> str:
+        """``content_digest`` of ``posts``, computed on each read."""
+        return content_digest(self.posts)
 
     def page_hashes(self) -> dict[str, str]:
         return {path: page.content_hash for path, page in self.pages.items()}
@@ -113,43 +114,43 @@ def render_post(post: Post) -> RenderedPage:
     return RenderedPage(post_path(post), html.encode())
 
 
+def _index_links(posts: Iterable[Post]) -> list[tuple[int, str, str]]:
+    # Only fields that appear in index links; body edits must not touch "/".
+    return [(p.id, p.slug, p.title) for p in posts]
+
+
 def _render_site(
     posts: list[Post],
     prev: SiteBuild | None,
     deploy_id: int,
     built_at: float | None,
 ) -> tuple[SiteBuild, frozenset[str]]:
-    """Render the pages whose source key differs from ``prev``'s; reuse the rest."""
-    prev_keys = prev.source_keys if prev is not None else {}
+    """Render the pages whose inputs differ from ``prev``'s; reuse the rest."""
+    prev_posts = () if prev is None else prev.posts
     pages: dict[str, RenderedPage] = {}
-    keys: dict[str, object] = {}
     rebuilt: set[str] = set()
 
-    # Only fields that appear in index links; body edits must not touch "/".
-    index_key = tuple((p.id, p.slug, p.title) for p in posts)
-    if prev_keys.get(INDEX_PATH) == index_key:
+    if prev is not None and _index_links(posts) == _index_links(prev_posts):
         pages[INDEX_PATH] = prev.pages[INDEX_PATH]
     else:
         pages[INDEX_PATH] = render_index(posts)
         rebuilt.add(INDEX_PATH)
-    keys[INDEX_PATH] = index_key
 
+    prev_by_path = {post_path(p): p for p in prev_posts}
     for post in posts:
         path = post_path(post)
-        if prev_keys.get(path) == post:
+        if prev_by_path.get(path) == post:
             pages[path] = prev.pages[path]
         else:
             pages[path] = render_post(post)
             rebuilt.add(path)
-        keys[path] = post
 
     return (
         SiteBuild(
             deploy_id=deploy_id,
             pages=MappingProxyType(pages),
-            source_digest=content_digest(posts),
             built_at=time.time() if built_at is None else built_at,
-            source_keys=MappingProxyType(keys),
+            posts=tuple(posts),
         ),
         frozenset(rebuilt),
     )

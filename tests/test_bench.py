@@ -424,17 +424,14 @@ def test_audit_404_page_is_unreachable(posts10, build10):
 
 def _audit_report(page="/"):
     from edgelab.bench import AuditMetric
-    from edgelab.netmodel import PROFILES
 
     metric = AuditMetric(run_1=0.2, median_rest=0.1, average_rest=0.11)
     return AuditReport(
         page=page,
         runs=5,
-        reset=ResetPolicy(),
         server_time=metric,
         fcp_proxy=metric,
         cache_statuses=("MISS", "HIT", "HIT", "HIT", "HIT"),
-        profile=PROFILES["mobile-throttled"],
         server_times=(0.2, 0.1, 0.1, 0.11, 0.1),
     )
 

@@ -199,6 +199,34 @@ def test_serve_port_taken_exits_4(capsys):
         taken.close()
 
 
+@pytest.mark.parametrize("argv", [["--base-port", "70000"], ["--base-port", "65535"], ["--base-port", "0"],
+                                  ["--base-port", "65533", "--content-api"]])
+def test_serve_ports_outside_1_to_65535_are_config_errors(argv, capsys, deadline):
+    with deadline(10.0):
+        assert main(["serve", *argv]) == 2
+    assert "65535" in capsys.readouterr().err
+
+
+def test_serve_exits_4_when_a_later_port_is_taken(capsys, deadline):
+    # Hold port q while q - 1 is free, so the first server binds and the second cannot.
+    while True:
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        port = taken.getsockname()[1]
+        with socket.socket() as probe:
+            try:
+                probe.bind(("127.0.0.1", port - 1))
+                break
+            except OSError:
+                taken.close()
+    try:
+        with deadline(10.0):
+            assert main(["serve", "--base-port", str(port - 1)]) == 4
+    finally:
+        taken.close()
+    assert "cannot bind" in capsys.readouterr().err
+
+
 @pytest.mark.wallclock
 def test_serve_three_ports_and_clean_sigint(tmp_path):
     port = _free_port()

@@ -1,19 +1,15 @@
-"""Content generator: determinism, random access, and the origin stub."""
+"""Content generator: determinism, random access, and the content digest."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgelab.clock import VirtualClock
 from edgelab.content import (
     _LANES,
-    NotFoundError,
     SplitMix64,
-    UpstreamConfig,
     content_digest,
     generate_posts,
     make_post,
-    upstream_fetch,
 )
 
 MASK64 = (1 << 64) - 1
@@ -149,45 +145,6 @@ def test_different_seeds_give_different_content(seed):
     assert content_digest(generate_posts(seed, 3)) != content_digest(
         generate_posts(seed + 1, 3)
     )
-
-
-def test_upstream_fetch_pays_configured_delay():
-    clock = VirtualClock()
-    cfg = UpstreamConfig(seed=42, delay=0.1, post_count=100)
-    t0 = clock.now()
-    post = upstream_fetch(0, cfg, clock)
-    assert clock.now() - t0 >= 0.1
-    assert post.id == 0
-
-
-def test_upstream_fetch_zero_delay():
-    clock = VirtualClock()
-    post = upstream_fetch(0, UpstreamConfig(seed=42, delay=0.0), clock)
-    assert clock.now() == 0.0
-    assert post == make_post(42, 0)
-
-
-def test_upstream_fetch_out_of_range():
-    cfg = UpstreamConfig(seed=42, delay=0.0, post_count=100)
-    with pytest.raises(NotFoundError):
-        upstream_fetch(100, cfg, VirtualClock())
-    with pytest.raises(NotFoundError):
-        upstream_fetch(-1, cfg, VirtualClock())
-
-
-def test_upstream_fetch_matches_generator():
-    cfg = UpstreamConfig(seed=8, delay=0.0, post_count=10)
-    posts = generate_posts(8, 10)
-    assert [upstream_fetch(i, cfg, VirtualClock()) for i in range(10)] == posts
-
-
-def test_upstream_config_validation():
-    with pytest.raises(ValueError):
-        UpstreamConfig(seed=1, delay=-0.1)
-    with pytest.raises(ValueError):
-        UpstreamConfig(seed=1, post_count=-1)
-    with pytest.raises(ValueError):
-        UpstreamConfig(seed=1, word_min=10, word_max=5)
 
 
 def test_digest_of_empty_list_is_fixed():

@@ -70,6 +70,13 @@ def test_write_reports_is_idempotent(result, tmp_path):
         assert path.read_bytes() == (out / name).read_bytes()
 
 
+def test_every_exported_name_resolves():
+    import edgelab
+
+    missing = [name for name in edgelab.__all__ if not hasattr(edgelab, name)]
+    assert missing == []
+
+
 def test_benchmark_tracer_fits_the_package(posts10):
     """perfbench/layers.py patches names across edgelab; each must still exist."""
     import edgelab.experiment as experiment

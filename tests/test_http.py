@@ -6,6 +6,7 @@ import json
 import socket
 import threading
 import time
+from dataclasses import asdict, replace
 from http.client import HTTPConnection
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from edgelab import httpserve
 from edgelab.bench import ResetPolicy, TargetUnreachableError, _HttpTarget, run_audit
 from edgelab.clock import SYSTEM_CLOCK
-from edgelab.content import UpstreamConfig, generate_posts, make_post
+from edgelab.content import generate_posts, make_post
 from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
 from edgelab.httpserve import ContentServer, VariantServer
 
@@ -172,8 +173,7 @@ def test_serves_ipv6_literal_host(posts10, build10):
 
 
 def test_content_api_list_and_single_post():
-    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=10)
-    with ContentServer(upstream) as server:
+    with ContentServer(generate_posts(5, 10), delay=0.0) as server:
         status, body, _ = _get(server, "/posts")
         assert status == 200
         items = json.loads(body)
@@ -188,13 +188,42 @@ def test_content_api_list_and_single_post():
         assert got["body"] == want.body
 
 
+def test_content_api_serves_exactly_the_snapshot_it_is_given():
+    posts = generate_posts(5, 4)
+    posts[2] = replace(posts[2], title="Edited", body="edited body")
+    with ContentServer(posts, delay=0.0) as server:
+        assert _get(server, "/posts")[:2] == (200, json.dumps([asdict(p) for p in posts]).encode())
+        for post in posts:
+            assert _get(server, f"/posts/{post.id}")[:2] == (200, json.dumps(asdict(post)).encode())
+
+
+def test_content_api_single_post_pays_the_delay_and_the_list_does_not():
+    with ContentServer(generate_posts(5, 3), delay=0.05) as server:
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            elapsed = {}
+            for path in ("/posts/1", "/posts"):
+                t0 = time.perf_counter()
+                conn.request("GET", path)
+                assert conn.getresponse().read()
+                elapsed[path] = time.perf_counter() - t0
+        finally:
+            conn.close()
+    assert elapsed["/posts/1"] >= 0.05
+    assert elapsed["/posts"] < 0.05
+
+
+def test_content_server_rejects_a_negative_delay():
+    with pytest.raises(ValueError, match="delay"):
+        ContentServer(generate_posts(5, 3), delay=-0.1)
+
+
 @pytest.mark.parametrize(
     "target, plain",
     [("/posts?x=1", "/posts"), ("/posts/", "/posts"), ("/posts/1?x=1", "/posts/1"), ("/posts/1/", "/posts/1")],
 )
 def test_content_api_reads_targets_like_the_variant_servers(target, plain):
-    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=3)
-    with ContentServer(upstream) as server:
+    with ContentServer(generate_posts(5, 3), delay=0.0) as server:
         status, body, _ = _get(server, target)
         assert (status, body) == _get(server, plain)[:2]
     assert status == 200
@@ -202,8 +231,7 @@ def test_content_api_reads_targets_like_the_variant_servers(target, plain):
 
 @pytest.mark.parametrize("raw_id", ["1_0", "+3", "03", "٣", "-0"])
 def test_content_api_serves_a_post_only_at_its_canonical_id(raw_id):
-    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=20)
-    with ContentServer(upstream) as server:
+    with ContentServer(generate_posts(5, 20), delay=0.0) as server:
         request = f"GET /posts/{raw_id} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
         [(status, _, _)] = _responses(_exchange(server, request.encode()))
         assert status == 404
@@ -211,8 +239,7 @@ def test_content_api_serves_a_post_only_at_its_canonical_id(raw_id):
 
 
 def test_server_stops_promptly():
-    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=3)
-    server = ContentServer(upstream)
+    server = ContentServer(generate_posts(5, 3), delay=0.0)
     server.start()
     try:
         statuses = [_get(server, "/posts/1")[0] for _ in range(3)]
@@ -224,10 +251,17 @@ def test_server_stops_promptly():
     assert elapsed < 0.1
 
 
+def test_server_never_started_stops(posts10, build10, deadline):
+    worker = EdgeWorker(StrategyConfig(strategy=Strategy.STATIC))
+    worker.deploy(build10, posts10)
+    with deadline(5.0):
+        VariantServer(worker).stop()
+
+
 def test_content_api_not_found():
-    upstream = UpstreamConfig(seed=5, delay=0.0, post_count=10)
-    with ContentServer(upstream) as server:
+    with ContentServer(generate_posts(5, 10), delay=0.0) as server:
         assert _get(server, "/posts/10")[0] == 404
+        assert _get(server, "/posts/-1")[0] == 404
         assert _get(server, "/posts/banana")[0] == 404
         assert _get(server, "/other")[0] == 404
 

@@ -7,7 +7,7 @@ from html import escape
 
 import pytest
 
-from edgelab.content import Post, generate_posts
+from edgelab.content import Post, content_digest, generate_posts
 from edgelab.ssg import (
     build_site,
     export_site,
@@ -77,6 +77,26 @@ def test_site_build_is_pinned():
         "afb21bb069a94a1c2fb993ce1129e07a7800cda969336f8e24772c6afff321e1"
     )
     assert build.source_digest == "1270e14fa17d9445ab88618aeea8fe81470787e2fdfa932fff4e0051900351e5"
+
+
+def test_builds_keep_their_posts_and_digest_them_only_when_read(monkeypatch):
+    import edgelab.ssg as ssg
+
+    def forbidden(posts):
+        raise AssertionError("content_digest called during a build")
+
+    posts = generate_posts(42, 100)
+    edited = list(posts)
+    edited[7] = replace(posts[7], body="edited")
+    monkeypatch.setattr(ssg, "content_digest", forbidden)
+    build = build_site(posts, built_at=0.0)
+    rebuild, rebuilt = incremental_rebuild(build, edited, built_at=1.0)
+    monkeypatch.undo()
+    assert build.posts == tuple(posts)
+    assert rebuild.posts == tuple(edited)
+    assert rebuilt == {post_path(posts[7])}
+    assert build.source_digest == "1270e14fa17d9445ab88618aeea8fe81470787e2fdfa932fff4e0051900351e5"
+    assert rebuild.source_digest == content_digest(edited)
 
 
 def test_build_site_page_count():
