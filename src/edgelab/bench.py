@@ -24,7 +24,9 @@ at least p% of samples are <= v.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import json
 import math
 import socket
@@ -81,6 +83,13 @@ class LatencyHistogram:
         # NaN equals nothing, so the memo starts empty.
         self._last_sample = math.nan
         self._last_index = 0
+        # Running totals of ``counts`` as of ``_cumulative_total`` samples,
+        # rebuilt by ``percentile`` only after more samples arrived: a report
+        # asks for seven points, and one rebuild costs as much as a bucket
+        # scan. Holds while ``record`` and ``merge``, which both add to
+        # ``total_count``, are the only writers of ``counts``.
+        self._cumulative: list[int] = []
+        self._cumulative_total = 0
 
     @staticmethod
     def _bucket_index(value: float) -> int:
@@ -113,13 +122,12 @@ class LatencyHistogram:
             raise ValueError("p must be in (0, 100]")
         if p == 100.0:
             return self.max_value
+        if self._cumulative_total != self.total_count:
+            self._cumulative = list(itertools.accumulate(self.counts))
+            self._cumulative_total = self.total_count
         rank = max(1, math.ceil(p / 100.0 * self.total_count))
-        seen = 0
-        for idx, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                return min(self._bucket_midpoint(idx), self.max_value)
-        return self.max_value
+        idx = bisect.bisect_left(self._cumulative, rank)
+        return min(self._bucket_midpoint(idx), self.max_value)
 
     @property
     def mean(self) -> float:
@@ -195,6 +203,10 @@ class AuditReport:
 
 
 Target = Union[str, EdgeWorker, Callable[[str, Clock], Response]]
+
+# x-edge-cache values, bound once so the HTTP client looks a header up
+# without calling the enum.
+_CACHE_STATUSES = {status.value: status for status in CacheStatus}
 
 
 def _host_port(url: str) -> tuple[str, int]:
@@ -277,14 +289,23 @@ class _HttpTarget:
         status, headers, body = self._request("GET", path)
         server_us = headers.get("x-server-time-us")
         server_time = int(server_us) / 1e6 if server_us is not None else clock.now() - t0
-        cache_status = CacheStatus(headers.get("x-edge-cache", "BYPASS"))
+        cache_header = headers.get("x-edge-cache", "BYPASS")
+        cache_status = _CACHE_STATUSES.get(cache_header)
+        if cache_status is None:
+            raise TargetUnreachableError(f"target answered {path} with an unknown x-edge-cache: {cache_header!r}")
         return Response(status, body, server_time, cache_status)
 
     def purge_cache(self) -> int:
         status, _, body = self._request("POST", "/__admin/purge")
         if status != 200:
             raise TargetUnreachableError(f"purge failed with status {status}")
-        return int(json.loads(body)["removed"])
+        try:
+            removed = json.loads(body)["removed"]
+        except (ValueError, KeyError, TypeError):
+            removed = None
+        if type(removed) is not int:
+            raise TargetUnreachableError(f"/__admin/purge answered without an integer 'removed': {body[:64]!r}")
+        return removed
 
     def cold_worker(self) -> None:
         status, _, _ = self._request("POST", "/__admin/cold")
@@ -348,7 +369,7 @@ def _run_load_simulated(
     cutoff = start + cfg.discard_first
     hist = LatencyHistogram()
     record = hist.record
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
     conn_clocks = [clock.fork() for _ in range(cfg.connections)]
     heap: list[tuple[float, int]] = [(start, i) for i in range(cfg.connections)]
     heapq.heapify(heap)
@@ -358,13 +379,14 @@ def _run_load_simulated(
     queue = background._queue if background is not None else ()
 
     # Invariant: a connection's clock reads its event time t when the event
-    # pops, because the event was pushed at conn.now() (and all start at
-    # ``start``); background tasks run on forks, so draining leaves conn
-    # where it is. A request must advance conn, or it would be pushed back
-    # at the same t forever.
+    # is at the head, because the event was queued at conn.now() (and all
+    # start at ``start``); background tasks run on forks, so draining leaves
+    # conn where it is. A request must advance conn, or it would be queued
+    # again at the same t forever. The head is re-queued in one sift.
     while heap:
-        t, i = heappop(heap)
+        t, i = heap[0]
         if t >= deadline:
+            heappop(heap)
             continue
         conn = conn_clocks[i]
         resp = fetch(path, conn)
@@ -382,7 +404,7 @@ def _run_load_simulated(
                 errors += 1
         if queue:
             background.drain()
-        heappush(heap, (now, i))
+        heapreplace(heap, (now, i))
 
     clock.jump_to(deadline)
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)

@@ -14,7 +14,7 @@ Strategies
             previously cached page.
 
 A worker holds one deployment at a time (the built site plus the
-content snapshot it was built from) and swaps it atomically on
+origin's content at that deploy) and swaps it atomically on
 ``deploy``. Requests take a single snapshot reference up front, so a
 response is always consistent with exactly one deployment.
 
@@ -94,15 +94,14 @@ class StrategyConfig:
             raise ValueError("SWR requires a finite ttl")
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    page: RenderedPage
-    stored_at: float
-    deploy_id: int
-
-
 @dataclass(slots=True)
 class Response:
+    """One answer to one request.
+
+    A worker may hand the same response to several requests (see
+    ``EdgeWorker.handle_request``), so treat it as read-only.
+    """
+
     status: int
     body: bytes
     server_time: float
@@ -110,17 +109,26 @@ class Response:
     deploy_id: int | None = None
 
 
+@dataclass(slots=True)
+class CacheEntry:
+    page: RenderedPage
+    stored_at: float
+    deploy_id: int
+    hit: Response | None = None  # the last HIT served from this entry
+
+
 @dataclass(frozen=True)
 class Deployment:
-    """One atomic release: the built pages plus the content they came from."""
+    """One atomic release: the built pages plus the origin's content at that release."""
 
     build: SiteBuild
     posts: tuple[Post, ...]
     by_slug: Mapping[str, Post]
+    static: dict[str, Response]  # the last STATIC response per path
 
     @classmethod
     def create(cls, build: SiteBuild, posts: Sequence[Post]) -> "Deployment":
-        return cls(build=build, posts=tuple(posts), by_slug={p.slug: p for p in posts})
+        return cls(build=build, posts=tuple(posts), by_slug={p.slug: p for p in posts}, static={})
 
 
 class EdgeWorker:
@@ -157,9 +165,12 @@ class EdgeWorker:
     def deploy(self, build: SiteBuild, posts: Sequence[Post]) -> None:
         """Atomically swap in a new deployment.
 
-        ``posts`` is the content snapshot the build was rendered from;
-        on-demand strategies render from it. Under DPR, every entry
-        cached for earlier deploys becomes unreachable at the swap.
+        ``posts`` is the origin's content at this deploy: SSR, ISR, SWR
+        and DPR render from it, while STATIC serves the build. It may
+        differ from ``build.posts``, which models an origin that has
+        changed (or lost a post) since the site was built: the freshness
+        gap between the strategies. Under DPR, every entry cached for
+        earlier deploys becomes unreachable at the swap.
         """
         dep = Deployment.create(build, posts)
         with self._lock:
@@ -187,6 +198,14 @@ class EdgeWorker:
             self._cold = True
 
     def handle_request(self, path: str, clock: Clock = SYSTEM_CLOCK) -> Response:
+        """Serve ``path``, spending its simulated time on ``clock``.
+
+        A STATIC response or a cache HIT may be the object returned to an
+        earlier request: the worker keeps the last one it built per path
+        (STATIC) or per cache entry (HIT) and returns it again when the
+        elapsed time is equal, as nothing else in it can differ. Treat the
+        response as read-only.
+        """
         dep = self._deployment
         if dep is None:
             raise RuntimeError("no deployment: call deploy() before serving")
@@ -205,7 +224,11 @@ class EdgeWorker:
         deploy_id = build.deploy_id
 
         if strategy is _STATIC:
-            return Response(200, prebuilt.body, clock.now() - start, _BYPASS, deploy_id)
+            elapsed = clock.now() - start
+            resp = dep.static.get(path)
+            if resp is None or resp.server_time != elapsed:
+                resp = dep.static[path] = Response(200, prebuilt.body, elapsed, _BYPASS, deploy_id)
+            return resp
 
         if strategy is _SSR:
             try:
@@ -230,7 +253,11 @@ class EdgeWorker:
         if entry is not None:
             now = clock.now()
             if ttl is None or now - entry.stored_at <= ttl:
-                return Response(200, entry.page.body, now - start, _HIT, entry.deploy_id)
+                elapsed = now - start
+                hit = entry.hit
+                if hit is None or hit.server_time != elapsed:
+                    hit = entry.hit = Response(200, entry.page.body, elapsed, _HIT, entry.deploy_id)
+                return hit
             if strategy is _SWR:
                 # Serve the stale bytes now; refresh for later requests.
                 self._schedule_revalidation(path, key, clock)

@@ -1,5 +1,6 @@
 """Histogram accuracy, load-run accounting, target URLs, audits, comparison tables."""
 
+import heapq
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from edgelab.bench import (
     LatencyHistogram,
     ResetPolicy,
     TargetUnreachableError,
+    _load_report,
     apply_reset,
     run_audit,
     run_load,
@@ -183,7 +185,127 @@ def test_repeated_sample_memo_matches_a_lookup_per_sample(runs):
     assert got == reference_histogram(samples)
 
 
+def scan_percentile(h, p):
+    """The linear bucket scan that ``percentile`` bisects, kept as its reference."""
+    if h.total_count == 0:
+        raise EmptyHistogramError("no samples recorded")
+    if p == 100.0:
+        return h.max_value
+    rank = max(1, math.ceil(p / 100.0 * h.total_count))
+    seen = 0
+    for idx, count in enumerate(h.counts):
+        seen += count
+        if seen >= rank:
+            return min(LatencyHistogram._bucket_midpoint(idx), h.max_value)
+    return h.max_value
+
+
+_samples = st.lists(
+    st.one_of(st.sampled_from(_EDGE_SAMPLES), st.floats(min_value=0.0, max_value=120.0)).flatmap(
+        lambda v: st.lists(st.just(v), min_size=1, max_size=3)
+    ),
+    max_size=20,
+).map(lambda runs: [v for run in runs for v in run])
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(st.sampled_from(["record", "merge"]), _samples), max_size=6),
+    st.lists(st.floats(min_value=0.0, max_value=100.0, exclude_min=True), max_size=4),
+)
+def test_bisected_percentiles_match_a_bucket_scan(steps, extra_points):
+    def outcome(percentile, *args):
+        try:
+            return percentile(*args)
+        except EmptyHistogramError as exc:
+            return type(exc)
+
+    h = LatencyHistogram()
+    for how, samples in [("record", [])] + steps:
+        if how == "record":
+            for v in samples:
+                h.record(v)
+        else:
+            other = LatencyHistogram()
+            for v in samples:
+                other.record(v)
+            h.merge(other)
+        for p in PERCENTILE_POINTS + tuple(extra_points):
+            assert outcome(h.percentile, p) == outcome(scan_percentile, h, p)
+
+
 # ---------------------------------------------------------------- run_load
+
+
+def heap_pop_push_load(target, cfg, clock, background):
+    """The pop-then-push event loop the simulated driver replaced, kept as its reference."""
+    fetch = getattr(target, "handle_request", target)
+    start = clock.now()
+    deadline = start + cfg.duration
+    cutoff = start + cfg.discard_first
+    hist = LatencyHistogram()
+    conn_clocks = [clock.fork() for _ in range(cfg.connections)]
+    heap = [(start, i) for i in range(cfg.connections)]
+    heapq.heapify(heap)
+    total_bytes = responses = errors = 0
+    while heap:
+        t, i = heapq.heappop(heap)
+        if t >= deadline:
+            continue
+        conn = conn_clocks[i]
+        resp = fetch(cfg.target_path, conn)
+        now = conn.now()
+        if t >= cutoff:
+            hist.record(now - t)
+            total_bytes += len(resp.body)
+            responses += 1
+            errors += resp.status >= 400
+        background.drain()
+        heapq.heappush(heap, (now, i))
+    clock.jump_to(deadline)
+    return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
+
+
+def scripted_handler(delays, background, calls):
+    """A handler whose n-th call sleeps ``delays[n % len(delays)]`` and logs ``(connection, time)``.
+
+    Connections are numbered by the order their clocks are first seen.
+    Every third call fails and every fifth queues a background task that
+    logs the call it came from.
+    """
+    conns: dict[int, int] = {}
+
+    def handle(path, clock):
+        n = len(calls)
+        calls.append((conns.setdefault(id(clock), len(conns)), clock.now()))
+        if n % 5 == 0:
+            background.submit(lambda n=n: calls.append(("task", n)))
+        clock.sleep(delays[n % len(delays)])
+        return Response(503 if n % 3 == 0 else 200, b"x" * (n % 7), 0.0, CacheStatus.BYPASS)
+
+    return handle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    connections=st.integers(min_value=1, max_value=12),
+    delays=st.lists(st.sampled_from([0.001, 0.001, 0.001, 0.101, 0.0025]), min_size=1, max_size=8),
+    duration=st.sampled_from([0.05, 0.2, 0.35]),
+    discard_share=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
+)
+def test_simulated_driver_matches_a_pop_then_push_loop(connections, delays, duration, discard_share):
+    cfg = BenchConfig(duration=duration, connections=connections, discard_first=duration * discard_share)
+    runs = []
+    for driver in (run_load, heap_pop_push_load):
+        background, calls = SerialScheduler(), []
+        try:
+            outcome = driver(scripted_handler(delays, background, calls), cfg, VirtualClock(), background)
+        except TargetUnreachableError as exc:  # every request fell in the discarded window
+            outcome = str(exc)
+        runs.append((outcome, calls))
+    (outcome, calls), (want_outcome, want_calls) = runs
+    assert calls == want_calls
+    assert outcome == want_outcome
 
 
 def test_simulated_load_exact_accounting():

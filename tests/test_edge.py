@@ -16,7 +16,7 @@ from edgelab.edge import (
     Strategy,
     StrategyConfig,
 )
-from edgelab.ssg import build_site, render_index
+from edgelab.ssg import build_site, render_index, render_post
 
 BASE = 0.001  # default per-request handling cost
 DELAY = 0.1
@@ -355,3 +355,101 @@ def test_threaded_requests_never_mix_deploys(posts10):
     for t in threads:
         t.join()
     assert bad == []
+
+
+
+def test_ssr_renders_the_origin_while_static_serves_the_build(posts10, build10):
+    # The origin edited a post after the site was built: the freshness gap.
+    origin = list(posts10)
+    origin[0] = replace(origin[0], body="Edited at the origin after the build.")
+    path = f"/posts/{origin[0].slug}"
+    served = {}
+    for strategy in (Strategy.STATIC, Strategy.SSR):
+        w = EdgeWorker(StrategyConfig(strategy=strategy))
+        w.deploy(build10, origin)
+        r = w.handle_request(path, VirtualClock())
+        assert r.status == 200
+        served[strategy] = r.body
+    assert served[Strategy.STATIC] == build10.pages[path].body
+    assert served[Strategy.SSR] == render_post(origin[0]).body
+    assert b"Edited at the origin" in served[Strategy.SSR]
+    assert b"Edited at the origin" not in served[Strategy.STATIC]
+
+
+# ------------------------------------------------------------ response reuse
+
+REUSING = [Strategy.STATIC, Strategy.ISR, Strategy.SWR, Strategy.DPR]
+
+
+def _reusing_worker(worker_factory, strategy, **overrides):
+    return worker_factory(strategy, ttl=60.0 if strategy is Strategy.SWR else None, **overrides)
+
+
+@pytest.mark.parametrize("strategy", REUSING)
+def test_equal_elapsed_times_share_one_response(worker_factory, strategy):
+    # A fresh clock per request makes every elapsed time the same float.
+    w = _reusing_worker(worker_factory, strategy)
+    w.handle_request("/", VirtualClock())  # fills the cache entry
+    first, second = (w.handle_request("/", VirtualClock()) for _ in range(2))
+    assert first.cache_status is (CacheStatus.BYPASS if strategy is Strategy.STATIC else CacheStatus.HIT)
+    assert second is first
+
+
+@pytest.mark.parametrize("strategy", REUSING)
+def test_a_kept_response_never_answers_with_another_time_or_status(worker_factory, build10, strategy):
+    cold, kv = 0.5, 0.002
+    w = _reusing_worker(worker_factory, strategy, cold_start_penalty=cold, kv_read_delay=kv)
+    static = strategy is Strategy.STATIC
+    lookup = 0.0 if static else kv
+    render = 0.0 if static else DELAY
+    served = CacheStatus.BYPASS if static else CacheStatus.HIT
+    filled = CacheStatus.BYPASS if static else CacheStatus.MISS
+    steps = [
+        (None, filled, BASE + cold + lookup + render),  # a fresh worker is cold
+        (None, served, BASE + lookup),
+        (None, served, BASE + lookup),
+        (w.cold_worker, served, BASE + cold + lookup),
+        (None, served, BASE + lookup),
+        (w.purge_cache, filled, BASE + lookup + render),
+        (None, served, BASE + lookup),
+    ]
+    seen = []
+    for before, _, _ in steps:
+        if before is not None:
+            before()
+        seen.append(w.handle_request("/", VirtualClock()))
+    # Checked after the last request, so a response changed later fails too.
+    for r, (_, status, elapsed) in zip(seen, steps):
+        assert r.cache_status is status
+        assert r.server_time == pytest.approx(elapsed, abs=1e-12)
+        assert r.body == build10.pages["/"].body
+    assert seen[2] is seen[1]
+    assert (seen[6] is seen[4]) == static  # a purge drops the entry and its kept HIT
+
+
+@pytest.mark.parametrize("strategy", [Strategy.STATIC, Strategy.DPR])
+def test_after_a_redeploy_responses_carry_the_new_deploy_id(worker_factory, posts10, build10, strategy):
+    w = worker_factory(strategy)
+    for _ in range(2):
+        old = w.handle_request("/", VirtualClock())
+    posts = list(posts10)
+    posts[0] = replace(posts[0], title="Second deploy")
+    build2 = build_site(posts, prev_deploy_id=build10.deploy_id)
+    w.deploy(build2, posts)
+    if strategy is Strategy.DPR:
+        assert w.handle_request("/", VirtualClock()).cache_status is CacheStatus.MISS
+    new = w.handle_request("/", VirtualClock())
+    assert new.cache_status is (CacheStatus.BYPASS if strategy is Strategy.STATIC else CacheStatus.HIT)
+    assert new.deploy_id == build2.deploy_id
+    assert b"Second deploy" in new.body
+    assert old.deploy_id == build10.deploy_id
+    assert b"Second deploy" not in old.body
+
+
+def test_static_on_the_system_clock_times_every_request(posts10, build10):
+    w = EdgeWorker(StrategyConfig(strategy=Strategy.STATIC, base_handling=0.0))
+    w.deploy(build10, posts10)
+    for _ in range(100):
+        r = w.handle_request("/")
+        assert r.server_time >= 0
+        assert r.body == build10.pages["/"].body

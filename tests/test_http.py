@@ -13,6 +13,7 @@ import pytest
 
 from edgelab import httpserve
 from edgelab.bench import ResetPolicy, TargetUnreachableError, _HttpTarget, run_audit
+from edgelab.cli import main
 from edgelab.clock import SYSTEM_CLOCK
 from edgelab.content import generate_posts, make_post
 from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
@@ -501,6 +502,34 @@ def test_client_posts_admin_requests_with_an_empty_body():
         assert target.purge_cache() == 3
     assert fake.heads[0].startswith(b"POST /__admin/purge HTTP/1.1\r\n")
     assert b"Content-Length: 0\r\n" in fake.heads[0]
+
+
+def test_an_unknown_cache_status_is_a_fault_of_the_target(capsys):
+    body = b"<p>warm</p>"
+    reply = _reply(body, b"x-edge-cache: WARM", b"Content-Length: %d" % len(body))
+    with _FakeServer(lambda c, n: reply) as fake:
+        with contextlib.closing(_HttpTarget(fake.url)) as target, pytest.raises(TargetUnreachableError) as raised:
+            target.handle_request("/", SYSTEM_CLOCK)
+        assert "x-edge-cache" in str(raised.value) and "'WARM'" in str(raised.value)
+        assert main(["audit", "--url", fake.url, "--no-purge"]) == 5
+    err = capsys.readouterr().err
+    assert "'WARM'" in err and "unreachable" not in err
+
+
+@pytest.mark.parametrize(
+    "purge_body",
+    [b"<html>purged</html>", b'{"deleted": 3}', b'{"removed": "3"}', b'{"removed": true}', b"[3]", b"\xff"],
+    ids=["not-json", "no-removed", "string", "bool", "list", "not-utf8"],
+)
+def test_a_purge_reply_without_an_integer_count_is_a_fault_of_the_target(purge_body, capsys):
+    reply = _reply(purge_body, b"Content-Length: %d" % len(purge_body))
+    with _FakeServer(lambda c, n: reply) as fake:
+        with contextlib.closing(_HttpTarget(fake.url)) as target, pytest.raises(TargetUnreachableError) as raised:
+            target.purge_cache()
+        assert "/__admin/purge" in str(raised.value)
+        assert main(["audit", "--url", fake.url]) == 5
+    err = capsys.readouterr().err
+    assert "/__admin/purge" in err and "unreachable" not in err
 
 
 def test_client_reads_what_http_client_reads(isr_server):
