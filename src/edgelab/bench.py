@@ -14,7 +14,9 @@ Two protocols are implemented:
 Both accept a base URL (wall clock, real sockets), an in-process
 worker or a bare ``(path, clock) -> Response`` handler. A URL is reached
 through the worker's interface over one keep-alive connection per load
-connection and per audit. With a VirtualClock, ``run_load`` becomes a
+connection and per audit: one ``sendall`` per request, the response read
+with ``recv`` and its head parsed by ``httpserve.parse_head``, the codec
+the server uses. With a VirtualClock, ``run_load`` becomes a
 deterministic event-driven simulation: each connection gets its own
 forked clock and events are processed in timestamp order.
 
@@ -29,6 +31,7 @@ import heapq
 import itertools
 import json
 import math
+import re
 import socket
 import statistics
 import threading
@@ -40,7 +43,7 @@ from typing import Callable, Sequence, Union
 
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
 from .edge import CacheStatus, EdgeWorker, Response
-from .httpserve import MAX_LINE, read_headers
+from .httpserve import parse_head, receive_head
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy
 
 PERCENTILE_POINTS = (50.0, 75.0, 90.0, 97.5, 99.0, 99.9, 99.99, 100.0)
@@ -207,6 +210,10 @@ Target = Union[str, EdgeWorker, Callable[[str, Clock], Response]]
 # x-edge-cache values, bound once so the HTTP client looks a header up
 # without calling the enum.
 _CACHE_STATUSES = {status.value: status for status in CacheStatus}
+# A response's status line: HTTP/1.<minor> <3-digit status>[ <reason>].
+_STATUS_LINE = re.compile(r"HTTP/1\.([0-9]) ([0-9]{3})(?: |\Z)")
+# x-server-time-us: a non-negative decimal integer; 15 digits are 31 years.
+_MICROSECONDS = re.compile(r"[0-9]{1,15}")
 
 
 def _host_port(url: str) -> tuple[str, int]:
@@ -231,27 +238,29 @@ class _HttpTarget:
     """A served variant behind the worker's interface, over one keep-alive connection.
 
     The socket opens on the first request and is kept until ``close``, a
-    ``Connection: close`` or an HTTP/1.0 response. A response must be
-    framed by ``content-length``. A request that fails on a reused
-    connection (the server may have closed it while idle) is retried once
-    on a fresh one, which RFC 9112 section 9.3.1 allows because GET and
-    both admin POSTs are idempotent in effect; a failure on a fresh
-    connection means the target is unreachable. Server time comes from the
-    x-server-time-us response header so the client's own overhead does not
-    pollute the server-side metric.
+    ``Connection: close`` or an HTTP/1.0 response. Responses are read with
+    ``recv`` into a buffer kept with the socket and parsed by
+    ``httpserve.parse_head``; a response must be framed by
+    ``content-length``. A request that fails on a reused connection (the
+    server may have closed it while idle) is retried once on a fresh one,
+    which RFC 9112 section 9.3.1 allows because GET and both admin POSTs
+    are idempotent in effect. On a fresh connection, a failed connect, a
+    reset or a close before the response means the target is unreachable;
+    a response that breaks HTTP/1.1 is reported as such. Server time comes
+    from the x-server-time-us response header so the client's own overhead
+    does not pollute the server-side metric.
     """
 
     def __init__(self, base_url: str):
         self._address = host, port = _host_port(base_url)
         self._head_tail = f" HTTP/1.1\r\nHost: {f'[{host}]' if ':' in host else host}:{port}\r\n"
         self._sock: socket.socket | None = None
-        self._rfile = None
+        self._buf = b""
 
     def close(self) -> None:
         if self._sock is not None:
-            self._rfile.close()
             self._sock.close()
-            self._sock = self._rfile = None
+            self._sock, self._buf = None, b""
 
     def _request(self, method: str, path: str) -> tuple[int, dict[str, str], bytes]:
         reused = self._sock is not None
@@ -259,36 +268,44 @@ class _HttpTarget:
             if not reused:
                 self._sock = socket.create_connection(self._address, timeout=30)
                 self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._rfile = self._sock.makefile("rb")
+            sock = self._sock
             framing = "Content-Length: 0\r\n" if method == "POST" else ""
-            self._sock.sendall(f"{method} {path}{self._head_tail}{framing}\r\n".encode())
-            status_line = self._rfile.readline(MAX_LINE + 1)
-            if not status_line:
-                raise ConnectionError("connection closed before the response")
-            version, status, *_ = status_line.split(None, 2)
-            if not version.startswith(b"HTTP/1."):
+            sock.sendall(f"{method} {path}{self._head_tail}{framing}\r\n".encode())
+            head, rest = receive_head(sock.recv, self._buf)
+            status_line, headers = parse_head(head)
+            if (status := _STATUS_LINE.match(status_line)) is None:
                 raise ValueError(f"not an HTTP/1.x response: {status_line[:64]!r}")
-            headers = read_headers(self._rfile)
             length = headers.get("content-length", "")
-            if "transfer-encoding" in headers or not length.isdigit():
+            if "transfer-encoding" in headers or not (length.isascii() and length.isdigit()):
                 raise ValueError("response not framed by content-length")
-            body = self._rfile.read(int(length))
-            if len(body) != int(length):
-                raise ConnectionError(f"response body cut short at {len(body)} of {length} bytes")
-            if version == b"HTTP/1.0" or headers.get("connection", "").lower() == "close":
+            n, chunks, received = int(length), [rest], len(rest)
+            while received < n:
+                if not (chunk := sock.recv(65536)):
+                    raise ValueError(f"response body cut short at {received} of {n} bytes")
+                chunks.append(chunk)
+                received += len(chunk)
+            rest = b"".join(chunks)
+            body, self._buf = rest[:n], rest[n:]
+            if status[1] == "0" or headers.get("connection", "").lower() == "close":
                 self.close()
-            return int(status), headers, body
+            return int(status[2]), headers, body
         except (OSError, ValueError) as exc:
             self.close()
             if reused:
                 return self._request(method, path)
-            raise TargetUnreachableError(f"{self._address[0]}:{self._address[1]} unreachable: {exc}") from exc
+            fault = "unreachable" if isinstance(exc, OSError) else "broke HTTP/1.1"
+            raise TargetUnreachableError(f"{self._address[0]}:{self._address[1]} {fault}: {exc}") from exc
 
     def handle_request(self, path: str, clock: Clock) -> Response:
         t0 = clock.now()
         status, headers, body = self._request("GET", path)
         server_us = headers.get("x-server-time-us")
-        server_time = int(server_us) / 1e6 if server_us is not None else clock.now() - t0
+        if server_us is None:
+            server_time = clock.now() - t0
+        elif _MICROSECONDS.fullmatch(server_us):
+            server_time = int(server_us) / 1e6
+        else:
+            raise TargetUnreachableError(f"target answered {path} with a bad x-server-time-us: {server_us!r}")
         cache_header = headers.get("x-edge-cache", "BYPASS")
         cache_status = _CACHE_STATUSES.get(cache_header)
         if cache_status is None:

@@ -1,6 +1,9 @@
 """HTTP layer: variant servers, admin endpoints, the content API."""
 
 import contextlib
+import http.client
+import importlib.util
+import io
 import itertools
 import json
 import socket
@@ -8,11 +11,14 @@ import threading
 import time
 from dataclasses import asdict, replace
 from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgelab import httpserve
-from edgelab.bench import ResetPolicy, TargetUnreachableError, _HttpTarget, run_audit
+from edgelab.bench import BenchConfig, ResetPolicy, TargetUnreachableError, _HttpTarget, run_audit, run_load
 from edgelab.cli import main
 from edgelab.clock import SYSTEM_CLOCK
 from edgelab.content import generate_posts, make_post
@@ -341,6 +347,62 @@ def test_bad_request_gets_its_status_and_the_connection_closes(isr_server, reque
     assert headers["connection"] == "close"
 
 
+def test_a_bare_lf_head_is_served(isr_server):
+    [(status, _, _)] = _responses(_exchange(isr_server, b"GET / HTTP/1.1\nHost: x\nConnection: close\n\n"))
+    assert status == 200
+
+
+def test_a_70kb_request_line_gets_414_and_a_close(isr_server):
+    request = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+    [(status, headers, _)] = _responses(_exchange(isr_server, request))
+    assert (status, headers["connection"]) == (414, "close")
+
+
+def test_pipelined_requests_are_answered_in_order(isr_server, posts10, build10):
+    page = f"/posts/{posts10[0].slug}"
+    raw = _exchange(
+        isr_server,
+        f"GET {page} HTTP/1.1\r\nHost: x\r\n\r\nGET / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode(),
+    )
+    assert [(status, body) for status, _, body in _responses(raw)] == [
+        (200, build10.pages[page].body),
+        (200, build10.pages["/"].body),
+    ]
+
+
+def test_a_head_sent_one_byte_at_a_time_is_served(isr_server, build10):
+    request = b"GET / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", isr_server.port), timeout=5) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(len(request)):
+            sock.sendall(request[i : i + 1])
+        raw = b""
+        while data := sock.recv(65536):
+            raw += data
+    [(status, _, body)] = _responses(raw)
+    assert (status, body) == (200, build10.pages["/"].body)
+
+
+@pytest.mark.parametrize("method", ["PUT", "HEAD"])
+def test_an_unsupported_method_gets_501(isr_server, method):
+    [(status, headers, _)] = _responses(_exchange(isr_server, f"{method} / HTTP/1.1\r\nHost: x\r\n\r\n".encode()))
+    assert (status, headers["connection"]) == (501, "close")
+
+
+def test_an_empty_first_line_gets_no_response_and_a_close(isr_server):
+    assert _exchange(isr_server, b"\r\n") == b""
+
+
+@pytest.mark.parametrize(
+    "length, status", [(b"9" * 5000, 413), (b"0" * 5000 + b"2", 200)], ids=["5000-nines", "zero-padded-2"]
+)
+def test_a_content_length_of_thousands_of_digits_is_answered(isr_server, length, status):
+    # int() refuses over 4,300 digits: the request used to end in a traceback and no answer.
+    request = b"POST /__admin/purge HTTP/1.1\r\nConnection: close\r\nContent-Length: " + length + b"\r\n\r\n{}"
+    [(got, _, _)] = _responses(_exchange(isr_server, request))
+    assert got == status
+
+
 def test_one_hundred_headers_are_accepted(isr_server):
     request = b"GET / HTTP/1.1\r\n" + b"".join(b"x-h%d: v\r\n" % i for i in range(99)) + b"Connection: close\r\n\r\n"
     [(status, _, _)] = _responses(_exchange(isr_server, request))
@@ -451,24 +513,62 @@ def _reply(body, *headers, version=b"HTTP/1.1"):
 
 
 @pytest.mark.parametrize(
-    "reply, close",
+    "reply, close, fault",
     [
-        (_reply(b"no framing", b"x-edge-cache: HIT"), False),
-        (_reply(b"chunked", b"Transfer-Encoding: chunked"), False),
-        (_reply(b"short", b"Content-Length: 100"), True),
-        (_reply(b"", b"x-big: " + b"v" * 70_000, b"Content-Length: 0"), False),
-        (b"", True),
-        (b"SSH-2.0-OpenSSH\r\n\r\n", True),
+        (_reply(b"no framing", b"x-edge-cache: HIT"), False, "broke HTTP/1.1"),
+        (_reply(b"chunked", b"Transfer-Encoding: chunked"), False, "broke HTTP/1.1"),
+        (_reply(b"short", b"Content-Length: 100"), True, "broke HTTP/1.1"),
+        (_reply(b"", b"x-big: " + b"v" * 70_000, b"Content-Length: 0"), False, "broke HTTP/1.1"),
+        (b"", True, "unreachable"),
+        (b"SSH-2.0-OpenSSH\r\n\r\n", True, "broke HTTP/1.1"),
     ],
     ids=["no-content-length", "transfer-encoding", "cut-short", "long-header", "no-response", "not-http"],
 )
-def test_client_rejects_a_bad_response_without_hanging(reply, close):
+def test_client_rejects_a_bad_response_without_hanging(reply, close, fault):
     with _FakeServer(lambda c, n: reply, close=close) as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
         t0 = time.perf_counter()
         with pytest.raises(TargetUnreachableError) as raised:
             target.handle_request("/", SYSTEM_CLOCK)
         assert time.perf_counter() - t0 < 5
         assert raised.value.__cause__ is not None
+    # Only a target that never answered is unreachable; one that answered badly says so.
+    assert str(raised.value).startswith(f"127.0.0.1:{fake.port} {fault}: ")
+    assert ("unreachable" in str(raised.value)) == (fault == "unreachable")
+
+
+def test_a_refused_connection_is_unreachable():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+    with contextlib.closing(_HttpTarget(f"http://127.0.0.1:{port}")) as target:
+        with pytest.raises(TargetUnreachableError, match=f"^127.0.0.1:{port} unreachable: ") as raised:
+            target.handle_request("/", SYSTEM_CLOCK)
+    assert isinstance(raised.value.__cause__, ConnectionRefusedError)
+
+
+def test_a_response_that_breaks_http_is_not_called_unreachable(capsys):
+    with _FakeServer(lambda c, n: _reply(b"no framing")) as fake:
+        assert main(["audit", "--url", fake.url, "--no-purge"]) == 5
+    err = capsys.readouterr().err
+    assert "broke HTTP/1.1: response not framed by content-length" in err and "unreachable" not in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    [b"12.5", b"-3", b"", b"1e3", b"+4", b" 7 7", "\u0663".encode("utf-8"), b"9" * 400, b"9" * 5000],
+    ids=[
+        "fraction", "negative", "empty", "exponent", "plus", "two-numbers", "arabic-digit", "400-digits", "5000-digits"
+    ],
+)
+def test_a_bad_server_time_is_a_fault_of_the_target(value, capsys):
+    body = b"<p>ok</p>"
+    reply = _reply(body, b"x-edge-cache: HIT", b"x-server-time-us: " + value, b"Content-Length: %d" % len(body))
+    with _FakeServer(lambda c, n: reply) as fake:
+        with contextlib.closing(_HttpTarget(fake.url)) as target, pytest.raises(TargetUnreachableError) as raised:
+            target.handle_request("/", SYSTEM_CLOCK)
+        assert "x-server-time-us" in str(raised.value)
+        assert main(["audit", "--url", fake.url, "--no-purge"]) == 5
+    err = capsys.readouterr().err
+    assert "x-server-time-us" in err and "unreachable" not in err
 
 
 @pytest.mark.parametrize(
@@ -552,3 +652,139 @@ def test_client_reads_what_http_client_reads(isr_server):
         assert ours.cache_status.value == resp.getheader("x-edge-cache")
         assert ours.server_time == int(resp.getheader("x-server-time-us")) / 1e6
     assert [_responses(raw)[0][1]["x-edge-cache"] for raw in recorded] == ["MISS", "HIT", "BYPASS"]
+
+
+# ------------------------------------------------ the head codec
+
+_TOKEN_CHARS = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_names = st.text(_TOKEN_CHARS, min_size=1, max_size=20)
+# A field value: visible ASCII and obs-text, inner spaces and tabs, no space at either end.
+_values = st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF, blacklist_characters="\x7f"), max_size=40).map(
+    lambda v: v.strip(" \t")
+)
+_line_ends = st.sampled_from([b"\r\n", b"\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.lists(st.tuples(_names, _values), max_size=20), line_end=_line_ends)
+def test_the_codec_reads_headers_as_http_client_does(fields, line_end):
+    lines = [f"{name}: {value}".encode("iso-8859-1") for name, value in fields]
+    head = line_end.join([b"GET / HTTP/1.1", *lines])
+    start, headers = httpserve.parse_head(head)
+    reference = http.client.parse_headers(io.BytesIO(b"".join(line + b"\r\n" for line in lines) + b"\r\n"))
+    want = {name.lower(): ", ".join(reference.get_all(name)) for name in reference.keys()}
+    assert (start, headers) == ("GET / HTTP/1.1", want)
+
+
+# Header lines that may break the rules: no colon, a bad name, folding, stray CRs,
+# too many lines, and at most one line too long (a client still sending more than
+# one would meet the close after the server's 431).
+_any_lines = st.tuples(
+    st.lists(
+        st.one_of(
+            st.tuples(_names, _values).map(lambda f: f"{f[0]}: {f[1]}".encode("iso-8859-1")),
+            st.binary(min_size=1, max_size=30).filter(lambda b: b"\n" not in b and b.strip(b"\r")),
+            st.sampled_from([b"bad name: v", b" folded", b"no colon", b"\rx: v"]),
+        ),
+        max_size=110,
+    ),
+    st.none() | st.integers(0, 110),
+).map(lambda t: t[0] if t[1] is None else [*t[0][: t[1]], b"x" * 70_000, *t[0][t[1] :]])
+
+
+def test_a_head_the_codec_rejects_gets_400_or_431_over_a_socket(isr_server):
+    @settings(max_examples=60, deadline=None)
+    @given(lines=_any_lines, line_end=_line_ends)
+    def check(lines, line_end):
+        head = line_end.join([b"GET / HTTP/1.1", *lines])
+        try:
+            httpserve.parse_head(head)
+        except httpserve.HeadError as exc:
+            [(status, headers, _)] = _responses(_exchange(isr_server, head + line_end + line_end))
+            assert status == exc.status in (400, 431)
+            assert headers["connection"] == "close"
+        else:
+            assume(False)
+
+    check()
+
+
+def _reader(data, size):
+    """A fake ``recv`` that hands out ``data`` ``size`` bytes at a time, then EOF."""
+    chunks = (data[i : i + size] for i in range(0, len(data), size))
+    return lambda _bufsize: next(chunks, b"")
+
+
+def test_a_head_near_the_limits_is_received_in_linear_time():
+    # 100 header lines of 65,535 bytes with their CRLF, about 6.5 MB, read 256 bytes at a time.
+    lines = [b"x-h%02d: " % i + b"v" * 65_526 + b"\r\n" for i in range(100)]
+    head = b"GET / HTTP/1.1\r\n" + b"".join(lines)[:-2]
+    t0 = time.perf_counter()
+    got, rest = httpserve.receive_head(_reader(head + b"\r\n\r\nnext", 256), b"")
+    assert time.perf_counter() - t0 < 2.0
+    assert (got, rest) == (head + b"\r", b"next")  # the head up to the LF of its CRLF CRLF
+    assert len(httpserve.parse_head(got)[1]) == 100
+
+
+@pytest.mark.parametrize("size", [7, 1024, 65536])
+@pytest.mark.parametrize(
+    "lines, status",
+    [
+        pytest.param([b"no colon", b"x-big: " + b"v" * 200_000], 400, id="malformed-then-long"),
+        pytest.param([b"no colon", *(b"x-h%d: v" % i for i in range(120))], 400, id="malformed-then-too-many"),
+        pytest.param([b"x-big: " + b"v" * 70_000, b"no colon", b"x: " + b"v" * 200_000], 431, id="long-then-malformed"),
+        pytest.param([b"x-h: v", b"x-big: " + b"v" * 200_000], 431, id="long"),
+        pytest.param([b"x-h%d: v" % i for i in range(120)], 431, id="too-many"),
+    ],
+)
+def test_a_head_over_a_limit_gets_the_fault_the_codec_names_first(lines, status, size):
+    # The head never ends: a limit trips while it is still arriving.
+    head = b"\r\n".join([b"GET / HTTP/1.1", *lines])
+    with pytest.raises(httpserve.HeadError) as codec:
+        httpserve.parse_head(head)
+    with pytest.raises(httpserve.HeadError) as received:
+        httpserve.receive_head(_reader(head + b"\r\n", size), b"")
+    assert received.value.status == codec.value.status == status
+
+
+def test_a_malformed_line_before_an_oversized_one_gets_400_over_a_socket(isr_server):
+    request = b"GET / HTTP/1.1\r\nno colon\r\nx-big: " + b"v" * 200_000
+    [(status, headers, _)] = _responses(_exchange(isr_server, request))
+    assert (status, headers["connection"]) == (400, "close")
+
+
+@pytest.mark.parametrize(
+    "target, page",
+    [("/", "/"), ("/a/", "/a"), ("/a//", "/a/"), ("/a?q=1#f", "/a"), ("/a#f?q", "/a"), ("/?x", "/"),
+     ("http://h:1/a/?q", "/a"), ("//h/a", "/a"), ("*", "*")],
+)
+def test_request_page(target, page):
+    assert httpserve.request_page(target) == page
+
+
+# ------------------------------------------------ the benchmark's server trace
+
+
+def test_benchmark_server_trace_spans_each_response(posts10, build10):
+    """perfbench/layers.py times the server from ``parse_request`` to the sent response."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    worker = EdgeWorker(StrategyConfig(strategy=Strategy.STATIC, base_handling=0.0))
+    worker.deploy(build10, posts10)
+    tracer = layers.Tracer()
+    with VariantServer(worker) as server:
+        layers.instrument(tracer)
+        try:
+            rep = run_load(server.url, BenchConfig(duration=0.3, connections=2))
+            # A server thread closes its span just after its last send.
+            deadline = time.perf_counter() + 5
+            while tracer.merged()[0]["httpserve.handle_one_request"][0] < rep.total_responses:
+                assert time.perf_counter() < deadline
+                time.sleep(0.01)
+        finally:
+            tracer.restore()
+    assert rep.total_responses > 0
+    assert tracer.merged()[0]["httpserve.handle_one_request"][0] == rep.total_responses
+    assert tracer.maxima["httpserve.threads_peak"] > 0
