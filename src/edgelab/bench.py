@@ -18,7 +18,12 @@ connection and per audit: one ``sendall`` per request, the response read
 with ``recv`` and its head parsed by ``httpserve.parse_head``, the codec
 the server uses. With a VirtualClock, ``run_load`` becomes a
 deterministic event-driven simulation: each connection gets its own
-forked clock and events are processed in timestamp order.
+forked clock and events are processed in timestamp order. Against an
+in-process worker, stretches of requests that change no state (STATIC
+answers and fresh HITs, per ``EdgeWorker.steady``) are stepped without
+calling the worker: each connection in turn, in the same float sums the
+worker's clock would make, up to the first request that finds its entry
+stale. The figures are those of calling the worker every time.
 
 Percentiles are nearest-rank: the smallest recorded value v such that
 at least p% of samples are <= v.
@@ -89,8 +94,8 @@ class LatencyHistogram:
         # Running totals of ``counts`` as of ``_cumulative_total`` samples,
         # rebuilt by ``percentile`` only after more samples arrived: a report
         # asks for seven points, and one rebuild costs as much as a bucket
-        # scan. Holds while ``record`` and ``merge``, which both add to
-        # ``total_count``, are the only writers of ``counts``.
+        # scan. Holds while ``record``, ``record_n`` and ``merge``, which all
+        # add to ``total_count``, are the only writers of ``counts``.
         self._cumulative: list[int] = []
         self._cumulative_total = 0
 
@@ -115,6 +120,17 @@ class LatencyHistogram:
         self.counts[idx] += 1
         self.total_count += 1
         self.sum_value += sample
+        if sample > self.max_value:
+            self.max_value = sample
+
+    def record_n(self, sample: float, n: int) -> None:
+        """Record ``sample`` ``n`` (>= 1) times, as ``n`` calls of ``record`` would."""
+        if sample < HIST_LOW or sample > HIST_HIGH:
+            self.clamped_count += n
+        idx = min(self._bucket_index(min(max(sample, HIST_LOW), HIST_HIGH)), _N_BUCKETS - 1)
+        self.counts[idx] += n
+        self.total_count += n
+        self.sum_value += sample * n
         if sample > self.max_value:
             self.max_value = sample
 
@@ -380,6 +396,7 @@ def _run_load_simulated(
     background: SerialScheduler | None,
 ) -> BenchReport:
     fetch = _fetch(target)
+    steady = target.steady if isinstance(target, EdgeWorker) else None
     path = cfg.target_path
     start = clock.now()
     deadline = start + cfg.duration
@@ -400,19 +417,30 @@ def _run_load_simulated(
     # start at ``start``); background tasks run on forks, so draining leaves
     # conn where it is. A request must advance conn, or it would be queued
     # again at the same t forever. The head is re-queued in one sift.
+    # While requests change no state (``EdgeWorker.steady``: a STATIC answer
+    # or a fresh HIT, nothing queued), their order does not matter: every
+    # connection steps on its own up to its first stale request or the
+    # deadline, and the heap is rebuilt. Staleness is monotone in the start
+    # time, so every request stepped over starts before every one left, and
+    # if the head's request is stale no connection steps.
     while heap:
         t, i = heap[0]
         if t >= deadline:
             heappop(heap)
             continue
+        if steady is not None and not queue and (state := steady(path)) is not None:
+            recorded = sum(_step_steady(conn, deadline, cutoff, state, hist, path) for conn in conn_clocks)
+            if conn_clocks[i].now() > t:  # the head's request was fresh, so every fresh one ran
+                heap = [(conn.now(), j) for j, conn in enumerate(conn_clocks)]
+                heapq.heapify(heap)
+                total_bytes += len(state[0]) * recorded
+                responses += recorded
+                continue
         conn = conn_clocks[i]
         resp = fetch(path, conn)
         now = conn.now()
         if now <= t:
-            raise ValueError(
-                f"a simulated request to {path} took no virtual time; each one must "
-                "advance the clock (is base_handling 0?)"
-            )
+            raise _took_no_time(path)
         if t >= cutoff:
             record(now - t)
             total_bytes += len(resp.body)
@@ -425,6 +453,58 @@ def _run_load_simulated(
 
     clock.jump_to(deadline)
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
+
+
+def _step_steady(
+    conn: VirtualClock,
+    deadline: float,
+    cutoff: float,
+    state: tuple[bytes, float, float, float, float | None],
+    hist: LatencyHistogram,
+    path: str,
+) -> int:
+    """Step one connection through requests that change no state; return how many it recorded.
+
+    ``state`` is what ``EdgeWorker.steady`` returned. Each request ends at
+    ``t + base + kv``, the float sums ``VirtualClock.sleep`` makes, and its
+    latency goes into ``hist`` if it starts at or after ``cutoff``, equal
+    ones in one ``record_n``. Stops at the deadline or at the first request
+    to find the entry older than its ttl, and leaves ``conn`` at that
+    request's start.
+    """
+    _, base, kv, stored_at, ttl = state
+    limit = math.inf if ttl is None else ttl
+    t = conn.now()
+    recorded = run = 0
+    last = math.nan
+    while t < deadline:
+        now = t + base + kv
+        if now - stored_at > limit:
+            break
+        if now <= t:
+            raise _took_no_time(path)
+        if t >= cutoff:
+            sample = now - t
+            if sample == last:
+                run += 1
+            else:
+                if run:
+                    hist.record_n(last, run)
+                    recorded += run
+                last, run = sample, 1
+        t = now
+    if run:
+        hist.record_n(last, run)
+        recorded += run
+    conn.jump_to(t)
+    return recorded
+
+
+def _took_no_time(path: str) -> ValueError:
+    return ValueError(
+        f"a simulated request to {path} took no virtual time; each one must "
+        "advance the clock (is base_handling 0?)"
+    )
 
 
 def _load_report(

@@ -56,7 +56,7 @@ class CacheStatus(Enum):
 
 # Bound once: an enum member lookup (``Strategy.STATIC``) costs several
 # times a module-global read, and the request path makes several per call.
-_STATIC, _SSR, _SWR, _DPR = Strategy.STATIC, Strategy.SSR, Strategy.SWR, Strategy.DPR
+_STATIC, _SSR, _SWR = Strategy.STATIC, Strategy.SSR, Strategy.SWR
 _HIT, _MISS, _STALE, _BYPASS = CacheStatus.HIT, CacheStatus.MISS, CacheStatus.STALE, CacheStatus.BYPASS
 
 
@@ -147,6 +147,9 @@ class EdgeWorker:
     ``handle_request`` returns. Every simulated request must therefore
     advance the clock it is given (``base_handling`` > 0, or some other
     delay); the driver rejects a response that took no virtual time.
+    A request changes no state when it is a STATIC answer or a fresh HIT
+    on a warm worker; ``steady`` says what such a request gets, and the
+    driver steps through runs of them without calling ``handle_request``.
     """
 
     def __init__(self, config: StrategyConfig, scheduler: Scheduler | None = None):
@@ -157,6 +160,13 @@ class EdgeWorker:
         self._lock = threading.Lock()
         self._cold = True
         self._revalidating: set[str] = set()
+        # The cache rule, read by ``handle_request`` and ``steady``: DPR keys
+        # entries by deploy, so a request never reads an entry written for
+        # another deploy (even by a request begun before the swap), and never
+        # ages them; ISR and SWR key by path. Set once: a method call per
+        # request would cost more than the lookup.
+        self._by_deploy = config.strategy is Strategy.DPR
+        self._ttl = None if self._by_deploy else config.ttl
 
     @property
     def cache_size(self) -> int:
@@ -180,7 +190,7 @@ class EdgeWorker:
                     f"deploy {build.deploy_id} is not newer than {current.build.deploy_id}"
                 )
             self._deployment = dep
-            if self.config.strategy is Strategy.DPR:
+            if self._by_deploy:
                 # Old entries are unreachable anyway (keys carry the deploy
                 # id); dropping them just frees memory.
                 self._cache = {}
@@ -237,22 +247,14 @@ class EdgeWorker:
                 return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, _BYPASS)
             return Response(200, page.body, clock.now() - start, _BYPASS, deploy_id)
 
-        if strategy is _DPR:
-            key: object = (path, deploy_id)
-            ttl = None  # DPR staleness is deploy-scoped, never time-based
-        else:
-            key = path
-            ttl = cfg.ttl
-
         if cfg.kv_read_delay:
             clock.sleep(cfg.kv_read_delay)
+        key = (path, deploy_id) if self._by_deploy else path
         entry = self._cache.get(key)
-        if entry is not None and strategy is _DPR and entry.deploy_id != deploy_id:
-            entry = None  # guards a racing write from a request begun pre-deploy
 
         if entry is not None:
             now = clock.now()
-            if ttl is None or now - entry.stored_at <= ttl:
+            if (ttl := self._ttl) is None or now - entry.stored_at <= ttl:
                 elapsed = now - start
                 hit = entry.hit
                 if hit is None or hit.server_time != elapsed:
@@ -272,6 +274,31 @@ class EdgeWorker:
         with self._lock:
             self._cache[key] = new_entry
         return Response(200, page.body, clock.now() - start, _MISS, deploy_id)
+
+    def steady(self, path: str) -> tuple[bytes, float, float, float, float | None] | None:
+        """What a request for ``path`` gets now if it changes no state, or None if it may.
+
+        Returns ``(body, base, kv, stored_at, ttl)``: the page, the delays
+        ``handle_request`` adds on that path in the order it adds them
+        (``kv_read_delay``, or 0 for STATIC), and the cache entry's store
+        time and age limit (ttl None: never stale). A request starting at
+        t is then a STATIC answer or a HIT that ends at ``t + base + kv``,
+        as long as ``t + base + kv - stored_at <= ttl``. None for a cold
+        worker, no deployment, SSR, a 404, or no entry for this deploy.
+        """
+        dep = self._deployment
+        cfg = self.config
+        if dep is None or self._cold or cfg.strategy is _SSR:
+            return None
+        page = dep.build.pages.get(path)
+        if page is None:
+            return None
+        if cfg.strategy is _STATIC:
+            return page.body, cfg.base_handling, 0.0, 0.0, None
+        entry = self._cache.get((path, dep.build.deploy_id) if self._by_deploy else path)
+        if entry is None:
+            return None
+        return entry.page.body, cfg.base_handling, cfg.kv_read_delay, entry.stored_at, self._ttl
 
     def _render(self, dep: Deployment, path: str, clock: Clock) -> RenderedPage:
         """Fetch content from the simulated origin and render the page.

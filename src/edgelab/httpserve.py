@@ -12,9 +12,9 @@ tools:
     x-edge-cache: HIT | MISS | STALE | BYPASS
     x-server-time-us: <integer microseconds>
 
-Admin endpoints (POST): ``/__admin/purge`` empties the cache and
-returns ``{"removed": n}``; ``/__admin/cold`` makes the next request
-pay the cold-start penalty.
+Admin endpoints (POST, paths read by the same rule): ``/__admin/purge``
+empties the cache and returns ``{"removed": n}``; ``/__admin/cold``
+makes the next request pay the cold-start penalty.
 
 The content API serves the posts it is given over HTTP: ``GET /posts``
 returns the full list, ``GET /posts/<id>`` one post, both as JSON
@@ -26,12 +26,13 @@ the server-side work behind a real content API.
 
 Framing: HTTP/1.0 and HTTP/1.1 only (HTTP/0.9 gets 400, other versions
 505), keep-alive unless the request says ``Connection: close`` or is
-HTTP/1.0 without ``keep-alive``. Lines end in CRLF or a bare LF. A
-request line of 65,536 bytes or more gets 414; a request head has at
-most 100 header lines of under 65,536 bytes each (431 beyond). A request
-body framed by ``content-length`` is read and discarded before dispatch
-(over 1 MiB gets 413); ``Transfer-Encoding`` gets 501 and a close. Each
-response is one ``sendall`` with a ``content-length``.
+HTTP/1.0 without ``keep-alive``. Lines end in CRLF or a bare LF, and one
+empty line before a request line is ignored. A request line of 65,536
+bytes or more gets 414; a request head has at most 100 header lines of
+under 65,536 bytes each (431 beyond). A request body framed by
+``content-length`` is read and discarded before dispatch (over 1 MiB gets
+413); ``Transfer-Encoding`` gets 501 and a close. Each response is one
+``sendall`` with a ``content-length``.
 
 ``parse_head`` is the head codec of both this server and the load client
 in ``bench``: bytes in, start line and headers out, no socket.
@@ -192,6 +193,8 @@ class _SilentHandler(socketserver.BaseRequestHandler):
         """Receive one request head, then parse, dispatch and answer it; at EOF, end the connection."""
         try:
             self.raw_head, self._buf = receive_head(self.request.recv, self._buf)
+            if not self.raw_head:  # one empty line before a request line is ignored (RFC 9112 section 2.2)
+                self.raw_head, self._buf = receive_head(self.request.recv, self._buf)
         except ConnectionError:
             self.close_connection = True
             return
@@ -278,11 +281,12 @@ class _VariantHandler(_SilentHandler):
         self._send(resp.status, resp.body, _HTML, _CACHE_FIELDS[resp.cache_status], server_us)
 
     def do_POST(self) -> None:
-        if self.path == "/__admin/purge":
+        endpoint = request_page(self.path)
+        if endpoint == "/__admin/purge":
             removed = self.worker.purge_cache()
             body = json.dumps({"removed": removed}).encode()
             self._send(200, body, _JSON)
-        elif self.path == "/__admin/cold":
+        elif endpoint == "/__admin/cold":
             self.worker.cold_worker()
             self._send(200, b'{"ok": true}', _JSON)
         else:

@@ -6,12 +6,15 @@ import math
 import random
 import socket
 import statistics
+import sys
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgelab import bench
 from edgelab.bench import (
     HIST_GROWTH,
     HIST_HIGH,
@@ -29,7 +32,7 @@ from edgelab.bench import (
     run_load,
 )
 from edgelab.clock import SerialScheduler, VirtualClock
-from edgelab.edge import CacheStatus, Response, Strategy, StrategyConfig
+from edgelab.edge import CacheStatus, EdgeWorker, Response, Strategy, StrategyConfig
 from edgelab.experiment import audit_entry, audit_table, bench_entry, bench_table
 
 
@@ -185,6 +188,32 @@ def test_repeated_sample_memo_matches_a_lookup_per_sample(runs):
     assert got == reference_histogram(samples)
 
 
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_EDGE_SAMPLES), st.floats(min_value=0.0, max_value=120.0)),
+            st.integers(min_value=1, max_value=50),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_record_n_matches_n_records(runs):
+    h = LatencyHistogram()
+    for v, n in runs:
+        h.record_n(v, n)
+    samples = [v for v, n in runs for _ in range(n)]
+    counts, total, total_sum, maximum, clamped = reference_histogram(samples)
+    assert (h.counts, h.total_count, h.max_value, h.clamped_count) == (counts, total, maximum, clamped)
+    assert h.sum_value == pytest.approx(total_sum, rel=1e-12, abs=1e-12)
+    one_by_one = LatencyHistogram()
+    for v in samples:
+        one_by_one.record(v)
+    for p in PERCENTILE_POINTS:
+        assert h.percentile(p) == one_by_one.percentile(p)
+
+
 def scan_percentile(h, p):
     """The linear bucket scan that ``percentile`` bisects, kept as its reference."""
     if h.total_count == 0:
@@ -308,6 +337,99 @@ def test_simulated_driver_matches_a_pop_then_push_loop(connections, delays, dura
     assert outcome == want_outcome
 
 
+def run_capturing(driver, target, cfg, clock, background):
+    """``driver``'s report or the error it raised, and the histogram its report was built from."""
+    hists = []
+    real_report = bench._load_report
+
+    def capture(hist, *args):
+        hists.append(hist)
+        return real_report(hist, *args)
+
+    with mock.patch.object(bench, "_load_report", capture), \
+            mock.patch.object(sys.modules[__name__], "_load_report", capture):
+        try:
+            outcome = driver(target, cfg, clock, background)
+        except TargetUnreachableError as exc:  # every request fell in the discarded window
+            outcome = str(exc)
+    return outcome, hists[0]
+
+
+# Weighted toward cached pages whose entries go stale mid-run.
+@settings(max_examples=150, deadline=None)
+@example(  # an ISR entry expires mid-run, at exact (dyadic) times
+    strategy=Strategy.ISR, ttl=1.0, kv_read_delay=0.0, base_handling=0.125, upstream_delay=0.5,
+    cold_start_penalty=0.0, warm=True, cold=False, connections=2, clock_start=0.0, duration=3.0,
+    discard_share=0.0, page="index",
+)
+@given(
+    strategy=st.sampled_from([Strategy.ISR, Strategy.SWR, Strategy.DPR, Strategy.ISR, Strategy.STATIC, Strategy.SSR]),
+    ttl=st.one_of(st.floats(min_value=0.05, max_value=0.6), st.none(), st.floats(min_value=0.05, max_value=2.5)),
+    kv_read_delay=st.sampled_from([0.0, 0.0003, 0.0021]),
+    base_handling=st.sampled_from([0.0007, 0.001, 0.0013]),
+    upstream_delay=st.sampled_from([0.0, 0.004, 0.1]),
+    cold_start_penalty=st.sampled_from([0.0, 0.05]),
+    warm=st.booleans(),
+    cold=st.booleans(),
+    connections=st.integers(min_value=1, max_value=12),
+    clock_start=st.sampled_from([0.0, 0.0, 3.7, 1000.25]),
+    duration=st.sampled_from([0.8, 0.3, 0.05]),
+    discard_share=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
+    page=st.sampled_from(["index", "post", "index", "missing", "lost"]),
+)
+def test_fast_forward_matches_a_loop_that_calls_the_worker_every_time(
+    posts10, build10, strategy, ttl, kv_read_delay, base_handling, upstream_delay, cold_start_penalty,
+    warm, cold, connections, clock_start, duration, discard_share, page,
+):
+    if strategy is Strategy.SWR and ttl is None:
+        ttl = 0.2
+    path = {
+        "index": "/",
+        "post": f"/posts/{posts10[1].slug}",
+        "missing": "/no/such/page",  # 404
+        "lost": f"/posts/{posts10[0].slug}",  # built, but gone from the origin: 502 unless STATIC
+    }[page]
+    cfg = BenchConfig(duration=duration, connections=connections, target_path=path,
+                      discard_first=duration * discard_share)
+    config = StrategyConfig(strategy=strategy, ttl=ttl, kv_read_delay=kv_read_delay, base_handling=base_handling,
+                            upstream_delay=upstream_delay, cold_start_penalty=cold_start_penalty)
+    runs = []
+    for driver in (run_load, heap_pop_push_load):
+        background, clock = SerialScheduler(), VirtualClock(clock_start)
+        worker = EdgeWorker(config, background)
+        worker.deploy(build10, posts10[1:])
+        if warm:
+            worker.handle_request(path, clock)
+            background.drain()
+        if cold:
+            worker.cold_worker()
+        outcome, hist = run_capturing(driver, worker, cfg, clock, background)
+        runs.append((outcome, hist, clock.now()))
+    (fast, fast_hist, fast_end), (ref, ref_hist, ref_end) = runs
+    assert fast_end == ref_end
+    assert (fast_hist.counts, fast_hist.clamped_count, fast_hist.max_value) == (
+        ref_hist.counts, ref_hist.clamped_count, ref_hist.max_value)
+    if isinstance(ref, str):
+        assert fast == ref
+        return
+    assert (fast.total_responses, fast.error_count, fast.bytes_per_second, fast.percentiles) == (
+        ref.total_responses, ref.error_count, ref.bytes_per_second, ref.percentiles)
+    assert fast.avg_latency == pytest.approx(ref.avg_latency, rel=1e-12, abs=0)
+
+
+def test_a_warm_run_answers_hits_without_calling_the_worker(posts10, build10):
+    worker = EdgeWorker(StrategyConfig(strategy=Strategy.ISR), SerialScheduler())
+    worker.deploy(build10, posts10)
+    clock = VirtualClock()
+    worker.handle_request("/", clock)
+    calls = []
+    handle = worker.handle_request
+    worker.handle_request = lambda path, clock: calls.append(path) or handle(path, clock)
+    report = run_load(worker, BenchConfig(duration=5.0, connections=10), clock)
+    assert report.total_responses == 50_000
+    assert len(calls) < 10
+
+
 def test_simulated_load_exact_accounting():
     cfg = BenchConfig(duration=10.0, connections=3, target_path="/")
     report = run_load(constant_handler(0.01), cfg, VirtualClock())
@@ -328,6 +450,14 @@ def test_simulated_request_taking_no_virtual_time_is_rejected(worker_factory, de
     worker = worker_factory(Strategy.STATIC, base_handling=0.0)
     with deadline(1.0), pytest.raises(ValueError, match="took no virtual time"):
         run_load(worker, BenchConfig(duration=1.0, connections=1), VirtualClock())
+
+
+@pytest.mark.parametrize("strategy", [Strategy.ISR, Strategy.DPR])
+def test_a_warm_entry_that_takes_no_virtual_time_is_rejected(worker_factory, deadline, strategy):
+    worker = worker_factory(strategy, base_handling=0.0, kv_read_delay=0.0)
+    worker.handle_request("/", VirtualClock())  # the MISS takes the render delay
+    with deadline(1.0), pytest.raises(ValueError, match="took no virtual time"):
+        run_load(worker, BenchConfig(duration=1.0, connections=3), VirtualClock())
 
 
 def test_simulated_load_discard_first():

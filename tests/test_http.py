@@ -130,6 +130,12 @@ def test_unknown_admin_endpoint_404(isr_server):
     assert status == 404
 
 
+@pytest.mark.parametrize("path", ["/__admin/purge/", "/__admin/purge?x=1", "/__admin/cold/"])
+def test_admin_paths_follow_the_get_path_rule(isr_server, path):
+    # An admin POST's path is read like a GET's: no query, one trailing slash.
+    assert _post(isr_server, path)[0] == 200
+
+
 def test_audit_over_http(isr_server):
     rep = run_audit(isr_server.url, "/", runs=5, reset=ResetPolicy(purge=True))
     assert rep.cache_statuses == ("MISS", "HIT", "HIT", "HIT", "HIT")
@@ -389,8 +395,26 @@ def test_an_unsupported_method_gets_501(isr_server, method):
     assert (status, headers["connection"]) == (501, "close")
 
 
-def test_an_empty_first_line_gets_no_response_and_a_close(isr_server):
-    assert _exchange(isr_server, b"\r\n") == b""
+@pytest.mark.parametrize(
+    "request_bytes, statuses",
+    [
+        pytest.param(b"\r\nGET / HTTP/1.1\r\nConnection: close\r\n\r\n", [200], id="empty-line-first"),
+        pytest.param(b"\nGET / HTTP/1.1\r\nConnection: close\r\n\r\n", [200], id="bare-lf-first"),
+        pytest.param(
+            b"POST /__admin/purge HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}\r\n"
+            b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
+            [200, 200],
+            id="extra-crlf-after-a-body",
+        ),
+    ],
+)
+def test_one_empty_line_before_the_request_line_is_ignored(isr_server, request_bytes, statuses):
+    # RFC 9112 section 2.2: a client may send a CRLF after a body.
+    assert [status for status, _, _ in _responses(_exchange(isr_server, request_bytes))] == statuses
+
+
+def test_a_second_empty_line_gets_no_response_and_a_close(isr_server):
+    assert _exchange(isr_server, b"\r\n\r\n") == b""
 
 
 @pytest.mark.parametrize(
