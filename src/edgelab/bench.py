@@ -23,7 +23,10 @@ in-process worker, stretches of requests that change no state (STATIC
 answers and fresh HITs, per ``EdgeWorker.steady``) are stepped without
 calling the worker: each connection in turn, in the same float sums the
 worker's clock would make, up to the first request that finds its entry
-stale. The figures are those of calling the worker every time.
+stale. Within a float binade those sums move the clock by one constant
+step, so a connection jumps through each binade at once instead of
+taking a loop turn per request. The figures are those of calling the
+worker every time.
 
 Percentiles are nearest-rank: the smallest recorded value v such that
 at least p% of samples are <= v.
@@ -174,6 +177,9 @@ class BenchConfig:
     discard_first: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("duration", "discard_first"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number of seconds, not {getattr(self, name)}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.connections < 1:
@@ -455,6 +461,10 @@ def _run_load_simulated(
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
 
 
+# A positive float t lies in the binade [top / 2, top), top = ulp(t) * 2**53.
+_BINADE = 2.0**53
+
+
 def _step_steady(
     conn: VirtualClock,
     deadline: float,
@@ -471,6 +481,20 @@ def _step_steady(
     ones in one ``record_n``. Stops at the deadline or at the first request
     to find the entry older than its ttl, and leaves ``conn`` at that
     request's start.
+
+    The requests are not stepped one by one. Every float in t's binade
+    [top/2, top) is a multiple of u = ulp(t), so ``t + base + kv`` is t
+    plus the same delta for every t there: base and kv each round to their
+    nearest multiple of u, unless one leaves a remainder of exactly u/2 (a
+    tie, rounded to even, which depends on t) or the sum reaches ``top``.
+    Outside those cases the requests start at exactly t + j * delta, each
+    takes exactly delta (Sterbenz's lemma), and the segment runs up to the
+    first j whose request starts at the deadline, ends at ``top`` or finds
+    its entry stale. Each of these only grows with j, so the segment's end
+    and the cutoff inside it are found by bisection, with the float
+    operations the one-step loop would make. A tie, a step out of the
+    binade or a start at t = 0 is one step, so a connection costs about
+    one segment per binade its clock passes through.
     """
     _, base, kv, stored_at, ttl = state
     limit = math.inf if ttl is None else ttl
@@ -483,15 +507,31 @@ def _step_steady(
             break
         if now <= t:
             raise _took_no_time(path)
-        if t >= cutoff:
-            sample = now - t
+        sample = now - t
+        n = 1
+        if t > 0.0:
+            u = math.ulp(t)
+            top = u * _BINADE
+            if now < top and math.fmod(base, u) != u / 2 and math.fmod(kv, u) != u / 2:
+
+                def ends_segment(j: int) -> bool:
+                    start = t + j * sample
+                    end = start + sample
+                    return start >= deadline or end >= top or end - stored_at > limit
+
+                # Request j = int((top - t) / sample) + 1 ends past top, so the range holds the end.
+                n = bisect.bisect_left(range(1, int((top - t) / sample) + 2), True, key=ends_segment) + 1
+                now = t + n * sample
+        if t < cutoff:  # of the n requests, record those that start at or after the cutoff
+            n -= bisect.bisect_left(range(n), cutoff, key=lambda j: t + j * sample)
+        if n:
             if sample == last:
-                run += 1
+                run += n
             else:
                 if run:
                     hist.record_n(last, run)
                     recorded += run
-                last, run = sample, 1
+                last, run = sample, n
         t = now
     if run:
         hist.record_n(last, run)

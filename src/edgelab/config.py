@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
@@ -81,6 +82,8 @@ class ExperimentConfig:
                 f"unknown throttle profile {self.throttle_profile!r}; "
                 f"known: {sorted(PROFILES)}"
             )
+        if not math.isfinite(self.render_overhead):
+            raise ConfigError(f"render_overhead must be a finite number of seconds, not {self.render_overhead}")
         if self.render_overhead < 0:
             raise ConfigError("render_overhead must be >= 0")
         if self.post_count < 0:
@@ -155,7 +158,7 @@ def from_dict(data: dict) -> ExperimentConfig:
     try:
         jsonschema.validate(data, _schema())
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match schema: {exc.message}") from exc
+        raise ConfigError(f"config does not match schema at {exc.json_path}: {exc.message}") from exc
 
     overrides = dict(data)
     try:

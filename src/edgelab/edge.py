@@ -26,6 +26,7 @@ instance handles.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -86,10 +87,13 @@ class StrategyConfig:
 
     def __post_init__(self) -> None:
         for name in ("upstream_delay", "cold_start_penalty", "base_handling", "kv_read_delay"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number of seconds, not {value}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError("ttl must be positive (use None for no expiry)")
+        if self.ttl is not None and not 0 < self.ttl < math.inf:
+            raise ValueError(f"ttl must be positive and finite, not {self.ttl} (use None for no expiry)")
         if self.strategy is Strategy.SWR and self.ttl is None:
             raise ValueError("SWR requires a finite ttl")
 

@@ -430,6 +430,141 @@ def test_a_warm_run_answers_hits_without_calling_the_worker(posts10, build10):
     assert len(calls) < 10
 
 
+def step_by_step(conn, deadline, cutoff, state, hist, path):
+    """The per-request loop ``bench._step_steady`` replaced, kept as its reference."""
+    _, base, kv, stored_at, ttl = state
+    limit = math.inf if ttl is None else ttl
+    t = conn.now()
+    recorded = run = 0
+    last = math.nan
+    while t < deadline:
+        now = t + base + kv
+        if now - stored_at > limit:
+            break
+        if now <= t:
+            raise bench._took_no_time(path)
+        if t >= cutoff:
+            sample = now - t
+            if sample == last:
+                run += 1
+            else:
+                if run:
+                    hist.record_n(last, run)
+                    recorded += run
+                last, run = sample, 1
+        t = now
+    if run:
+        hist.record_n(last, run)
+        recorded += run
+    conn.jump_to(t)
+    return recorded
+
+
+class RecordNLog(LatencyHistogram):
+    """A histogram that logs its ``record_n`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def record_n(self, sample, n):
+        self.calls.append((sample, n))
+        super().record_n(sample, n)
+
+
+def half_ulp_remainder(value, binade):
+    """A float near ``value`` that leaves exactly half of ulp(2**binade) over a multiple of it."""
+    u = math.ulp(2.0**binade)
+    return (math.floor(value / u) + 0.5) * u
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # a ttl that expires inside 1000.25's binade
+    clock_start=1000.25, duration=30.0, base=0.001, kv=0.0, age=0.0, ttl=7.3, discard_share=0.0,
+)
+@example(  # a base that ties in [2, 4), where rounding to even makes the steps alternate
+    clock_start=math.nextafter(2.0, 0), duration=5.0, base=half_ulp_remainder(0.001, 1), kv=0.0, age=0.0,
+    ttl=None, discard_share=0.0,
+)
+@example(  # a kv that ties in [4, 8), likewise
+    clock_start=3.7, duration=5.0, base=0.001, kv=half_ulp_remainder(0.0021, 2), age=0.0, ttl=None,
+    discard_share=0.0,
+)
+@example(  # the cutoff inside a segment
+    clock_start=math.nextafter(2.0, 0), duration=5.0, base=0.001, kv=0.0003, age=0.5, ttl=None,
+    discard_share=0.1237,
+)
+@example(  # a request that starts exactly at the deadline
+    clock_start=2.0, duration=1.0, base=2.0**-10, kv=0.0, age=0.0, ttl=None, discard_share=0.0,
+)
+@example(  # both tie in [8, 16), stale before the deadline
+    clock_start=3.7, duration=30.0, base=half_ulp_remainder(0.0013, 3), kv=half_ulp_remainder(0.0021, 3),
+    age=0.25, ttl=12.0, discard_share=0.3,
+)
+@example(clock_start=0.0, duration=1e4, base=0.37, kv=0.0, age=0.0, ttl=None, discard_share=0.9)
+@example(clock_start=0.0, duration=1.0, base=0.0, kv=0.0, age=0.0, ttl=None, discard_share=0.0)  # no time
+@given(
+    clock_start=st.one_of(
+        st.sampled_from([0.0, math.nextafter(2.0, 0), 2.0, 3.7, 1000.25, math.nextafter(1024.0, 0)]),
+        st.floats(min_value=0.0, max_value=1e4),
+    ),
+    duration=st.one_of(st.sampled_from([0.05, 1.0, 30.0, 1e4]), st.floats(min_value=0.01, max_value=1e4)),
+    base=st.one_of(
+        st.sampled_from([0.001, 0.0007, 0.0013, 0.125, 0.0]),
+        st.builds(half_ulp_remainder, st.sampled_from([0.001, 0.0013]), st.integers(-9, 13)),
+    ),
+    kv=st.one_of(
+        st.sampled_from([0.0, 0.0, 0.0003, 0.0021]),
+        st.builds(half_ulp_remainder, st.sampled_from([0.0003, 0.0021]), st.integers(-9, 13)),
+    ),
+    age=st.floats(min_value=0.0, max_value=1.0),
+    ttl=st.one_of(st.none(), st.floats(min_value=0.01, max_value=2e4)),
+    discard_share=st.one_of(st.sampled_from([0.0, 0.0, 0.3, 0.9]), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_closed_form_steps_match_a_loop_turn_per_request(clock_start, duration, base, kv, age, ttl, discard_share):
+    # Long runs get slower requests, so the reference loop makes at most about 40,000 turns.
+    # Scaling by a power of two keeps a tie a tie, one binade up per doubling.
+    scale = 2.0 ** max(0, math.ceil(math.log2(duration / 40_000 / max(base + kv, 1e-3))))
+    base, kv = base * scale, kv * scale
+    deadline = clock_start + duration
+    cutoff = clock_start + duration * discard_share
+    state = (b"x", base, kv, clock_start - age, ttl)
+    runs = []
+    for step in (bench._step_steady, step_by_step):
+        conn, hist = VirtualClock(clock_start), RecordNLog()
+        try:
+            outcome = step(conn, deadline, cutoff, state, hist, "/")
+        except ValueError as exc:
+            outcome = str(exc)
+        runs.append((outcome, conn.now(), hist.calls))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("strategy", [Strategy.STATIC, Strategy.ISR])
+@pytest.mark.parametrize("base_handling, count_tolerance", [
+    (2.0**-10, {"abs": 10}),  # a multiple of every float spacing below 2**42 s: each request takes it exactly
+    (0.001, {"rel": 1e-7}),  # rounded to ulp(t), up to 2**-34 s (5.8e-8 of it) off at t < 2**20 s
+])
+def test_a_long_steady_run_costs_a_jump_per_binade(worker_factory, deadline, strategy, base_handling, count_tolerance):
+    worker = worker_factory(strategy, base_handling=base_handling)
+    clock = VirtualClock()
+    worker.handle_request("/", clock)  # warms the worker and, for ISR, caches the page
+    cfg = BenchConfig(duration=1e6, connections=10)
+    with deadline(2.0):  # about 10**10 requests: one loop turn each would take hours
+        report = run_load(worker, cfg, clock)
+    assert report.total_responses == pytest.approx(10 * 1e6 / base_handling, **count_tolerance)
+    assert report.percentiles[50.0] == pytest.approx(base_handling, rel=0.01)
+    assert report.percentiles[100.0] == pytest.approx(base_handling, rel=0.01)
+
+
+@pytest.mark.parametrize("field", ["duration", "discard_first"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_bench_settings_are_rejected(worker_factory, deadline, field, value):
+    worker = worker_factory(Strategy.STATIC)
+    with deadline(1.0), pytest.raises(ValueError, match=field):
+        run_load(worker, BenchConfig(**{field: value}), VirtualClock())
+
+
 def test_simulated_load_exact_accounting():
     cfg = BenchConfig(duration=10.0, connections=3, target_path="/")
     report = run_load(constant_handler(0.01), cfg, VirtualClock())

@@ -1,6 +1,7 @@
 """CLI commands and exit codes."""
 
 import json
+import math
 import signal
 import socket
 import subprocess
@@ -116,6 +117,32 @@ def test_deterministic_bench_of_a_zero_cost_variant_exits_2(tmp_path, capsys, de
     with deadline(10.0):
         assert main(argv) == 2
     assert "took no virtual time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_duration_flag_exits_2(capsys, deadline, value):
+    with deadline(10.0):
+        assert main(["bench", "--deterministic", f"--duration={value}"]) == 2
+    assert "duration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"bench": {"duration": math.nan}}, "duration"),
+    ({"bench": {"duration": math.inf}}, "duration"),
+    ({"bench": {"duration": -math.inf}}, "duration"),
+    ({"bench": {"discard_first": math.nan}}, "discard_first"),
+    ({"render_overhead": math.nan}, "render_overhead"),
+    ({"variants": [{"name": "isr", "strategy": "ISR", "ttl": math.nan}]}, "ttl"),
+    ({"variants": [{"name": "isr", "strategy": "ISR", "ttl": math.inf}]}, "ttl"),
+    ({"variants": [{"name": "static", "strategy": "STATIC", "base_handling": math.inf}]}, "base_handling"),
+    ({"variants": [{"name": "ssr", "strategy": "SSR", "upstream_delay": math.nan}]}, "upstream_delay"),
+])
+def test_non_finite_config_values_exit_2(tmp_path, capsys, deadline, overrides, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))  # Python's json writes and reads NaN and Infinity
+    with deadline(10.0):
+        assert main(["experiment", "--deterministic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_bench_url_with_base_path_is_config_error(capsys):

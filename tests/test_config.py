@@ -1,6 +1,7 @@
 """Config parsing, schema validation, round-trip stability."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -145,6 +146,17 @@ def test_unknown_throttle_profile_rejected():
     data["throttle_profile"] = "satellite"
     with pytest.raises(ConfigError):
         from_dict(data)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_render_overhead_rejected(value):
+    with pytest.raises(ConfigError, match="render_overhead"):
+        ExperimentConfig(render_overhead=value)
+
+
+def test_schema_errors_name_the_field():
+    with pytest.raises(ConfigError, match=r"\$\.bench\.duration"):
+        from_dict({"bench": {"duration": -math.inf}})
 
 
 def test_effective_profile_applies_render_overhead():

@@ -1,5 +1,6 @@
 """Edge worker: per-strategy cache semantics, deploys, cold starts."""
 
+import math
 import sys
 import threading
 import time
@@ -102,6 +103,13 @@ def test_purge_returns_count_and_resets(worker_factory, posts10):
     r = w.handle_request("/", clock)
     assert r.cache_status is CacheStatus.MISS
     assert r.server_time >= DELAY
+
+
+@pytest.mark.parametrize("field", ["upstream_delay", "ttl", "cold_start_penalty", "base_handling", "kv_read_delay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_strategy_settings_are_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        StrategyConfig(strategy=Strategy.ISR, **{field: value})
 
 
 def test_swr_requires_ttl():
