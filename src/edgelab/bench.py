@@ -20,13 +20,14 @@ the server uses. With a VirtualClock, ``run_load`` becomes a
 deterministic event-driven simulation: each connection gets its own
 forked clock and events are processed in timestamp order. Against an
 in-process worker, stretches of requests that change no state (STATIC
-answers and fresh HITs, per ``EdgeWorker.steady``) are stepped without
-calling the worker: each connection in turn, in the same float sums the
-worker's clock would make, up to the first request that finds its entry
-stale. Within a float binade those sums move the clock by one constant
-step, so a connection jumps through each binade at once instead of
-taking a loop turn per request. The figures are those of calling the
-worker every time.
+and SSR answers and fresh HITs on a warm worker, per
+``EdgeWorker.steady``) are stepped without calling the worker: each
+connection in turn, in the same float sums the worker's clock would
+make, up to the first request that finds its entry stale, so an SSR
+run renders its page once, not once per request. Within a float binade
+those sums move the clock by one constant step, so a connection jumps
+through each binade at once instead of taking a loop turn per request.
+The figures are those of calling the worker every time.
 
 Percentiles are nearest-rank: the smallest recorded value v such that
 at least p% of samples are <= v.
@@ -51,7 +52,7 @@ from typing import Callable, Sequence, Union
 
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
 from .edge import CacheStatus, EdgeWorker, Response
-from .httpserve import parse_head, receive_head
+from .httpserve import parse_head, receive_head, request_page
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy
 
 PERCENTILE_POINTS = (50.0, 75.0, 90.0, 97.5, 99.0, 99.9, 99.99, 100.0)
@@ -65,6 +66,28 @@ HIST_HIGH = 60.0
 HIST_GROWTH = 1.02
 _LOG_GROWTH = math.log(HIST_GROWTH)
 _N_BUCKETS = int(math.ceil(math.log(HIST_HIGH / HIST_LOW) / _LOG_GROWTH)) + 1
+
+
+# Whitespace and C0/C1 control characters: none may appear in a page path.
+_UNSAFE_IN_PAGE = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+
+
+def check_page(name: str, page: str) -> None:
+    """Raise ValueError, naming ``name``, unless ``page`` reads the same in and out of process.
+
+    The server reads a request target through ``httpserve.request_page``,
+    which drops the query, the fragment and one trailing slash, while an
+    in-process worker looks the string up as given. So a page starts
+    with one '/', holds no whitespace or control character, and is its
+    own ``request_page``.
+    """
+    if not page.startswith("/") or page.startswith("//") or _UNSAFE_IN_PAGE.search(page):
+        raise ValueError(
+            f"{name} must be a page path such as /posts/post-1: one leading '/' "
+            f"and no whitespace or control character, not {page!r}"
+        )
+    if (served := request_page(page)) != page:
+        raise ValueError(f"{name} {page!r} is not a page path: the server would read it as {served!r}")
 
 
 class EmptyHistogramError(ValueError):
@@ -188,6 +211,7 @@ class BenchConfig:
             raise ValueError("discard_first must be >= 0")
         if self.discard_first >= self.duration:
             raise ValueError("discard_first must be shorter than duration")
+        check_page("target_path", self.target_path)
 
 
 @dataclass(frozen=True)
@@ -423,9 +447,9 @@ def _run_load_simulated(
     # start at ``start``); background tasks run on forks, so draining leaves
     # conn where it is. A request must advance conn, or it would be queued
     # again at the same t forever. The head is re-queued in one sift.
-    # While requests change no state (``EdgeWorker.steady``: a STATIC answer
-    # or a fresh HIT, nothing queued), their order does not matter: every
-    # connection steps on its own up to its first stale request or the
+    # While requests change no state (``EdgeWorker.steady``: a STATIC or SSR
+    # answer or a fresh HIT, nothing queued), their order does not matter:
+    # every connection steps on its own up to its first stale request or the
     # deadline, and the heap is rebuilt. Staleness is monotone in the start
     # time, so every request stepped over starts before every one left, and
     # if the head's request is stale no connection steps.
@@ -639,6 +663,7 @@ def run_audit(
     """Sequential k-run audit of one page with a run-1 reset policy."""
     if runs < 2:
         raise ValueError("audits need at least 2 runs to report a rest-of-runs median")
+    check_page("page", page)
     clock = clock if clock is not None else SYSTEM_CLOCK
     server_times: list[float] = []
     fcps: list[float] = []

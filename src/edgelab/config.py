@@ -18,7 +18,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .bench import BenchConfig, ResetPolicy
+from .bench import BenchConfig, ResetPolicy, check_page
 from .edge import Strategy, StrategyConfig
 from .netmodel import PROFILES, ThrottleProfile
 
@@ -44,6 +44,8 @@ class AuditSettings:
             raise ConfigError("audit.runs must be >= 2")
         if not self.pages:
             raise ConfigError("audit.pages must not be empty")
+        for page in self.pages:
+            check_page("audit.pages", page)
 
 
 _CORE_VARIANTS = (

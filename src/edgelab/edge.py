@@ -128,11 +128,11 @@ class Deployment:
     build: SiteBuild
     posts: tuple[Post, ...]
     by_slug: Mapping[str, Post]
-    static: dict[str, Response]  # the last STATIC response per path
+    answers: dict[str, Response]  # the last STATIC or SSR 200 per path
 
     @classmethod
     def create(cls, build: SiteBuild, posts: Sequence[Post]) -> "Deployment":
-        return cls(build=build, posts=tuple(posts), by_slug={p.slug: p for p in posts}, static={})
+        return cls(build=build, posts=tuple(posts), by_slug={p.slug: p for p in posts}, answers={})
 
 
 class EdgeWorker:
@@ -151,9 +151,12 @@ class EdgeWorker:
     ``handle_request`` returns. Every simulated request must therefore
     advance the clock it is given (``base_handling`` > 0, or some other
     delay); the driver rejects a response that took no virtual time.
-    A request changes no state when it is a STATIC answer or a fresh HIT
-    on a warm worker; ``steady`` says what such a request gets, and the
-    driver steps through runs of them without calling ``handle_request``.
+    A request changes no state when it is a STATIC answer, an SSR answer
+    or a fresh HIT on a warm worker; ``steady`` says what such a request
+    gets, and the driver steps through runs of them without calling
+    ``handle_request``. SSR still renders on every request it handles,
+    but its page is a pure function of the deployment and the path, so
+    ``steady`` answers with the last render this deployment made.
     """
 
     def __init__(self, config: StrategyConfig, scheduler: Scheduler | None = None):
@@ -239,9 +242,9 @@ class EdgeWorker:
 
         if strategy is _STATIC:
             elapsed = clock.now() - start
-            resp = dep.static.get(path)
+            resp = dep.answers.get(path)
             if resp is None or resp.server_time != elapsed:
-                resp = dep.static[path] = Response(200, prebuilt.body, elapsed, _BYPASS, deploy_id)
+                resp = dep.answers[path] = Response(200, prebuilt.body, elapsed, _BYPASS, deploy_id)
             return resp
 
         if strategy is _SSR:
@@ -249,7 +252,8 @@ class EdgeWorker:
                 page = self._render(dep, path, clock)
             except UpstreamError:
                 return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, _BYPASS)
-            return Response(200, page.body, clock.now() - start, _BYPASS, deploy_id)
+            resp = dep.answers[path] = Response(200, page.body, clock.now() - start, _BYPASS, deploy_id)
+            return resp
 
         if cfg.kv_read_delay:
             clock.sleep(cfg.kv_read_delay)
@@ -284,21 +288,27 @@ class EdgeWorker:
 
         Returns ``(body, base, kv, stored_at, ttl)``: the page, the delays
         ``handle_request`` adds on that path in the order it adds them
-        (``kv_read_delay``, or 0 for STATIC), and the cache entry's store
-        time and age limit (ttl None: never stale). A request starting at
-        t is then a STATIC answer or a HIT that ends at ``t + base + kv``,
-        as long as ``t + base + kv - stored_at <= ttl``. None for a cold
-        worker, no deployment, SSR, a 404, or no entry for this deploy.
+        (``kv_read_delay`` for a HIT, ``upstream_delay`` for SSR, 0 for
+        STATIC), and the cache entry's store time and age limit (ttl None:
+        never stale). A request starting at t is then a STATIC or SSR
+        answer or a HIT that ends at ``t + base + kv``, as long as
+        ``t + base + kv - stored_at <= ttl``. None for a cold worker, no
+        deployment, a 404, no entry for this deploy, or an SSR page this
+        deployment has not yet rendered (or cannot: the origin lost it).
+        The SSR body is that earlier render, not a new one.
         """
         dep = self._deployment
         cfg = self.config
-        if dep is None or self._cold or cfg.strategy is _SSR:
+        if dep is None or self._cold:
             return None
         page = dep.build.pages.get(path)
         if page is None:
             return None
         if cfg.strategy is _STATIC:
             return page.body, cfg.base_handling, 0.0, 0.0, None
+        if cfg.strategy is _SSR:
+            last = dep.answers.get(path)
+            return None if last is None else (last.body, cfg.base_handling, cfg.upstream_delay, 0.0, None)
         entry = self._cache.get((path, dep.build.deploy_id) if self._by_deploy else path)
         if entry is None:
             return None

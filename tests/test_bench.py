@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgelab import bench
+from edgelab import bench, edge
 from edgelab.bench import (
     HIST_GROWTH,
     HIST_HIGH,
@@ -430,6 +430,53 @@ def test_a_warm_run_answers_hits_without_calling_the_worker(posts10, build10):
     assert len(calls) < 10
 
 
+def ssr_runs(monkeypatch, posts10, build10, path="/", origin=None, warm=True, **overrides):
+    """The same SSR run through ``run_load`` and ``heap_pop_push_load``: per driver, its report,
+    the index renders and the ``handle_request`` calls it made."""
+    renders = []
+    render_index = edge.render_index
+    monkeypatch.setattr(edge, "render_index", lambda posts: renders.append(1) or render_index(posts))
+    runs = []
+    for driver in (run_load, heap_pop_push_load):
+        background, clock = SerialScheduler(), VirtualClock()
+        worker = EdgeWorker(StrategyConfig(strategy=Strategy.SSR, **overrides), background)
+        worker.deploy(build10, posts10 if origin is None else origin)
+        if warm:
+            worker.handle_request(path, clock)
+        renders.clear()
+        calls = []
+        handle = worker.handle_request
+        worker.handle_request = lambda path, clock: calls.append(path) or handle(path, clock)
+        report = driver(worker, BenchConfig(duration=5.0, connections=10, target_path=path), clock, background)
+        runs.append((report, len(renders), len(calls)))
+    (fast, fast_renders, fast_calls), (ref, ref_renders, _) = runs
+    assert (fast.total_responses, fast.error_count, fast.bytes_per_second, fast.percentiles) == (
+        ref.total_responses, ref.error_count, ref.bytes_per_second, ref.percentiles)
+    assert fast.avg_latency == pytest.approx(ref.avg_latency, rel=1e-12, abs=0)
+    return fast, fast_renders, fast_calls, ref_renders
+
+
+def test_a_warm_ssr_run_renders_the_index_at_most_once(monkeypatch, posts10, build10):
+    report, renders, calls, ref_renders = ssr_runs(monkeypatch, posts10, build10)
+    assert report.total_responses == 10 * math.ceil(5.0 / 0.101)
+    assert ref_renders == report.total_responses  # the reference renders on every request
+    assert renders <= 1 and calls <= 1
+    assert report.percentiles[50.0] == pytest.approx(0.101, rel=0.01)
+
+
+def test_a_cold_ssr_worker_pays_the_penalty_once_then_steps(monkeypatch, posts10, build10):
+    report, renders, calls, _ = ssr_runs(monkeypatch, posts10, build10, warm=False, cold_start_penalty=0.5)
+    assert renders == calls == 1
+    assert report.percentiles[100.0] == pytest.approx(0.001 + 0.5 + 0.1)
+    assert report.percentiles[99.0] == pytest.approx(0.101, rel=0.01)
+
+
+def test_an_ssr_page_the_origin_lost_is_a_502_on_every_request(monkeypatch, posts10, build10):
+    lost = f"/posts/{posts10[0].slug}"
+    report, _, calls, _ = ssr_runs(monkeypatch, posts10, build10, path=lost, origin=posts10[1:])
+    assert report.error_count == report.total_responses == calls > 0
+
+
 def step_by_step(conn, deadline, cutoff, state, hist, path):
     """The per-request loop ``bench._step_steady`` replaced, kept as its reference."""
     _, base, kv, stored_at, ttl = state
@@ -563,6 +610,15 @@ def test_non_finite_bench_settings_are_rejected(worker_factory, deadline, field,
     worker = worker_factory(Strategy.STATIC)
     with deadline(1.0), pytest.raises(ValueError, match=field):
         run_load(worker, BenchConfig(**{field: value}), VirtualClock())
+
+
+@pytest.mark.parametrize("page", ["/posts/post-1?x=1", "/posts/post-1/", "/posts/post-1#f", "posts/post-1", "/a\tb", "/a\x00"])
+def test_a_page_the_server_would_read_differently_is_rejected(worker_factory, page):
+    with pytest.raises(ValueError, match="target_path"):
+        BenchConfig(target_path=page)
+    worker = worker_factory(Strategy.ISR)
+    with pytest.raises(ValueError, match="^page "):
+        run_audit(worker, page, runs=2, reset=ResetPolicy(purge=False), clock=VirtualClock())
 
 
 def test_simulated_load_exact_accounting():

@@ -145,6 +145,47 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, deadline, overrides, 
     assert field in capsys.readouterr().err
 
 
+# Each page with what the server would read (httpserve.request_page), or None where the
+# page already fails the first rule: one leading '/', no whitespace or control character.
+NON_CANONICAL_PAGES = [
+    ("/posts/post-1?x=1", "/posts/post-1"),
+    ("/posts/post-1/", "/posts/post-1"),
+    ("/posts/post-1#f", "/posts/post-1"),
+    ("/?x=1", "/"),
+    ("posts/post-1", None),
+    ("//posts/post-1", None),
+    ("/posts/post 1", None),
+    ("/posts/post-1\n", None),
+    ("", None),
+]
+
+
+@pytest.mark.parametrize("page, served", NON_CANONICAL_PAGES)
+@pytest.mark.parametrize("argv, field", [
+    (["bench", "--variant", "isr", "--deterministic", "--path"], "target_path"),
+    (["audit", "--variant", "isr", "--deterministic", "--page"], "page"),
+])
+def test_a_non_canonical_page_flag_exits_2(capsys, argv, field, page, served):
+    assert main([*argv, page]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} " in err and repr(page) in err
+    assert served is None or f"read it as {served!r}" in err
+
+
+@pytest.mark.parametrize("page, served", NON_CANONICAL_PAGES[:3])
+@pytest.mark.parametrize("overrides, field", [
+    (lambda page: {"bench": {"target_path": page}}, "target_path"),
+    (lambda page: {"audit": {"pages": ["/", page]}}, "audit.pages"),
+])
+def test_a_non_canonical_page_in_a_config_file_exits_2(tmp_path, capsys, overrides, field, page, served):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides(page)))
+    assert main(["experiment", "--deterministic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} {page!r}" in err and f"read it as {served!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_url_with_base_path_is_config_error(capsys):
     assert main(["bench", "--url", "http://127.0.0.1:1/base", "--duration", "0.4"]) == 2
 

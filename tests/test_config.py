@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgelab.config import ConfigError, ExperimentConfig, from_dict, load, parse, preset
+from edgelab.config import AuditSettings, ConfigError, ExperimentConfig, from_dict, load, parse, preset
 
 
 def test_presets():
@@ -96,6 +96,16 @@ def test_rejects_invalid_bench_and_audit_values():
     data = preset("core-three").to_dict()
     data["audit"]["runs"] = 1
     with pytest.raises(ConfigError):
+        from_dict(data)
+
+
+@pytest.mark.parametrize("page", ["/posts/post-1?x=1", "/posts/post-1/", "posts/post-1", "/posts/post-1\t"])
+def test_rejects_an_audit_page_the_server_would_read_differently(page):
+    with pytest.raises(ValueError, match="audit.pages"):
+        AuditSettings(pages=("/", page))
+    data = preset("core-three").to_dict()
+    data["audit"]["pages"] = ["/", page]
+    with pytest.raises(ConfigError, match="audit.pages"):
         from_dict(data)
 
 
