@@ -21,13 +21,12 @@ deterministic event-driven simulation: each connection gets its own
 forked clock and events are processed in timestamp order. Against an
 in-process worker, stretches of requests that change no state (STATIC
 and SSR answers and fresh HITs on a warm worker, per
-``EdgeWorker.steady``) are stepped without calling the worker: each
-connection in turn, in the same float sums the worker's clock would
-make, up to the first request that finds its entry stale, so an SSR
-run renders its page once, not once per request. Within a float binade
-those sums move the clock by one constant step, so a connection jumps
-through each binade at once instead of taking a loop turn per request.
-The figures are those of calling the worker every time.
+``EdgeWorker.steady``) are stepped without calling the worker: virtual
+time is whole nanoseconds, every such request takes the same step, and
+each connection jumps in one closed-form step to its first request
+that finds its entry stale or starts at the deadline. So an SSR run
+renders its page once, not once per request, and the figures are those
+of calling the worker every time.
 
 Percentiles are nearest-rank: the smallest recorded value v such that
 at least p% of samples are <= v.
@@ -50,7 +49,7 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
-from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
+from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock, to_ns
 from .edge import CacheStatus, EdgeWorker, Response
 from .httpserve import parse_head, receive_head, request_page
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy
@@ -200,17 +199,16 @@ class BenchConfig:
     discard_first: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("duration", "discard_first"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number of seconds, not {getattr(self, name)}")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        # A simulated run counts whole ns: both must convert, and still differ once converted.
+        duration, discard_first = to_ns(self.duration, "duration"), to_ns(self.discard_first, "discard_first")
+        if duration <= 0:
+            raise ValueError(f"duration must be positive, and at least 1 ns once rounded, not {self.duration}")
         if self.connections < 1:
             raise ValueError("connections must be >= 1")
         if self.discard_first < 0:
             raise ValueError("discard_first must be >= 0")
-        if self.discard_first >= self.duration:
-            raise ValueError("discard_first must be shorter than duration")
+        if discard_first >= duration:
+            raise ValueError("discard_first must be shorter than duration, by at least 1 ns once rounded")
         check_page("target_path", self.target_path)
 
 
@@ -347,7 +345,7 @@ class _HttpTarget:
         status, headers, body = self._request("GET", path)
         server_us = headers.get("x-server-time-us")
         if server_us is None:
-            server_time = clock.now() - t0
+            server_time = (clock.now() - t0) / 1e9
         elif _MICROSECONDS.fullmatch(server_us):
             server_time = int(server_us) / 1e6
         else:
@@ -429,18 +427,19 @@ def _run_load_simulated(
     steady = target.steady if isinstance(target, EdgeWorker) else None
     path = cfg.target_path
     start = clock.now()
-    deadline = start + cfg.duration
-    cutoff = start + cfg.discard_first
+    deadline = start + to_ns(cfg.duration, "duration")
+    cutoff = start + to_ns(cfg.discard_first, "discard_first")
     hist = LatencyHistogram()
     record = hist.record
     heappop, heapreplace = heapq.heappop, heapq.heapreplace
     conn_clocks = [clock.fork() for _ in range(cfg.connections)]
-    heap: list[tuple[float, int]] = [(start, i) for i in range(cfg.connections)]
+    heap: list[tuple[int, int]] = [(start, i) for i in range(cfg.connections)]
     heapq.heapify(heap)
     total_bytes = 0
     responses = 0
     errors = 0
     queue = background._queue if background is not None else ()
+    latency_ns, latency = -1, 0.0  # the last latency seen, in ns and in seconds
 
     # Invariant: a connection's clock reads its event time t when the event
     # is at the head, because the event was queued at conn.now() (and all
@@ -469,10 +468,12 @@ def _run_load_simulated(
         conn = conn_clocks[i]
         resp = fetch(path, conn)
         now = conn.now()
-        if now <= t:
-            raise _took_no_time(path)
+        if (elapsed := now - t) != latency_ns:
+            if elapsed <= 0:
+                raise _took_no_time(path)
+            latency_ns, latency = elapsed, elapsed / 1e9
         if t >= cutoff:
-            record(now - t)
+            record(latency)
             total_bytes += len(resp.body)
             responses += 1
             if resp.status >= 400:
@@ -485,82 +486,38 @@ def _run_load_simulated(
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
 
 
-# A positive float t lies in the binade [top / 2, top), top = ulp(t) * 2**53.
-_BINADE = 2.0**53
-
-
 def _step_steady(
     conn: VirtualClock,
-    deadline: float,
-    cutoff: float,
-    state: tuple[bytes, float, float, float, float | None],
+    deadline: int,
+    cutoff: int,
+    state: tuple[bytes, int, int, int, int | None],
     hist: LatencyHistogram,
     path: str,
 ) -> int:
     """Step one connection through requests that change no state; return how many it recorded.
 
-    ``state`` is what ``EdgeWorker.steady`` returned. Each request ends at
-    ``t + base + kv``, the float sums ``VirtualClock.sleep`` makes, and its
-    latency goes into ``hist`` if it starts at or after ``cutoff``, equal
-    ones in one ``record_n``. Stops at the deadline or at the first request
-    to find the entry older than its ttl, and leaves ``conn`` at that
-    request's start.
-
-    The requests are not stepped one by one. Every float in t's binade
-    [top/2, top) is a multiple of u = ulp(t), so ``t + base + kv`` is t
-    plus the same delta for every t there: base and kv each round to their
-    nearest multiple of u, unless one leaves a remainder of exactly u/2 (a
-    tie, rounded to even, which depends on t) or the sum reaches ``top``.
-    Outside those cases the requests start at exactly t + j * delta, each
-    takes exactly delta (Sterbenz's lemma), and the segment runs up to the
-    first j whose request starts at the deadline, ends at ``top`` or finds
-    its entry stale. Each of these only grows with j, so the segment's end
-    and the cutoff inside it are found by bisection, with the float
-    operations the one-step loop would make. A tie, a step out of the
-    binade or a start at t = 0 is one step, so a connection costs about
-    one segment per binade its clock passes through.
+    ``state`` is what ``EdgeWorker.steady`` returned. Each request takes
+    d = base + kv ns, so from t the j-th starts at t + j * d. The
+    connection makes the n requests that start before the deadline and
+    end while the entry is at most ``ttl`` old, n = min(ceil((deadline -
+    t) / d), floor((stored_at + ttl - t) / d)), records those that start
+    at or after ``cutoff`` in one ``record_n``, and jumps to t + n * d: the
+    start of the first request it did not make.
     """
     _, base, kv, stored_at, ttl = state
-    limit = math.inf if ttl is None else ttl
     t = conn.now()
-    recorded = run = 0
-    last = math.nan
-    while t < deadline:
-        now = t + base + kv
-        if now - stored_at > limit:
-            break
-        if now <= t:
-            raise _took_no_time(path)
-        sample = now - t
-        n = 1
-        if t > 0.0:
-            u = math.ulp(t)
-            top = u * _BINADE
-            if now < top and math.fmod(base, u) != u / 2 and math.fmod(kv, u) != u / 2:
-
-                def ends_segment(j: int) -> bool:
-                    start = t + j * sample
-                    end = start + sample
-                    return start >= deadline or end >= top or end - stored_at > limit
-
-                # Request j = int((top - t) / sample) + 1 ends past top, so the range holds the end.
-                n = bisect.bisect_left(range(1, int((top - t) / sample) + 2), True, key=ends_segment) + 1
-                now = t + n * sample
-        if t < cutoff:  # of the n requests, record those that start at or after the cutoff
-            n -= bisect.bisect_left(range(n), cutoff, key=lambda j: t + j * sample)
-        if n:
-            if sample == last:
-                run += n
-            else:
-                if run:
-                    hist.record_n(last, run)
-                    recorded += run
-                last, run = sample, n
-        t = now
-    if run:
-        hist.record_n(last, run)
-        recorded += run
-    conn.jump_to(t)
+    d = base + kv
+    if t >= deadline or (ttl is not None and t + d - stored_at > ttl):
+        return 0
+    if not d:
+        raise _took_no_time(path)
+    n = -((t - deadline) // d)  # -(a // b) is ceil(-a / b)
+    if ttl is not None:
+        n = min(n, (stored_at + ttl - t) // d)
+    recorded = max(0, n - max(0, -((t - cutoff) // d)))
+    if recorded:
+        hist.record_n(d / 1e9, recorded)
+    conn.jump_to(t + n * d)
     return recorded
 
 

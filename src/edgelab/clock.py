@@ -3,24 +3,47 @@
 Everything that measures or spends time goes through a ``Clock`` so the
 same code can run against the wall clock (serve mode) or against a
 virtual clock (simulation mode, where delays cost no real time and
-every duration comes out exact and reproducible).
+every duration comes out exact and reproducible). Clock time is an int
+of nanoseconds, so sums of delays are exact; ``to_ns`` is the one
+conversion from the seconds that configs and flags are written in.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from typing import Callable, Protocol
 
 
+# The largest time a config value may give, in ns: int64's, as in ns-3's
+# ``ns3::Time`` (about 292 years).
+MAX_NS = 2**63 - 1
+
+
+def to_ns(seconds: float, name: str) -> int:
+    """``seconds`` as the nearest whole number of nanoseconds.
+
+    Raises ValueError naming ``name`` unless ``seconds`` is finite and at
+    most ``MAX_NS`` ns either side of 0.
+    """
+    if not math.isfinite(seconds):
+        raise ValueError(f"{name} must be a finite number of seconds, not {seconds}")
+    if abs(seconds) * 1e9 > MAX_NS:
+        raise ValueError(f"{name} must be within {MAX_NS // 10**9} seconds of 0, not {seconds}")
+    return round(seconds * 1e9)
+
+
 class Clock(Protocol):
-    def now(self) -> float:
-        """Current time in seconds. Monotone per clock instance."""
+    """Time as an int of nanoseconds; config files and reports keep seconds."""
+
+    def now(self) -> int:
+        """Current time in ns. Monotone per clock instance."""
         ...
 
-    def sleep(self, seconds: float) -> None:
-        """Advance this clock by ``seconds`` (blocking on a wall clock)."""
+    def sleep(self, ns: int) -> None:
+        """Advance this clock by ``ns`` nanoseconds (blocking on a wall clock)."""
         ...
 
     def fork(self) -> "Clock":
@@ -29,14 +52,14 @@ class Clock(Protocol):
 
 
 class SystemClock:
-    """Wall-clock time backed by ``time.monotonic``."""
+    """Wall-clock time backed by ``time.monotonic_ns``."""
 
-    def now(self) -> float:
-        return time.monotonic()
+    def now(self) -> int:
+        return time.monotonic_ns()
 
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
+    def sleep(self, ns: int) -> None:
+        if ns > 0:
+            time.sleep(ns / 1e9)
 
     def fork(self) -> "SystemClock":
         # Wall time is shared; forking is a no-op.
@@ -55,19 +78,23 @@ class VirtualClock:
     consistent by processing events in timestamp order.
     """
 
-    def __init__(self, start: float = 0.0):
-        self._t = float(start)
+    def __init__(self, start: int = 0):
+        if type(start) is not int:
+            raise TypeError(f"virtual time is an int of ns, not {start!r}")
+        self._t = start
 
-    def now(self) -> float:
+    def now(self) -> int:
         return self._t
 
-    def sleep(self, seconds: float) -> None:
-        if seconds < 0:
+    def sleep(self, ns: int) -> None:
+        if ns < 0:
             raise ValueError("cannot sleep a negative duration")
-        self._t += seconds
+        self._t += ns
 
-    def jump_to(self, t: float) -> None:
-        """Move forward to absolute time ``t``. Going backwards is a bug."""
+    def jump_to(self, t: int) -> None:
+        """Move forward to absolute time ``t`` ns. Going backwards is a bug."""
+        if type(t) is not int:
+            raise TypeError(f"virtual time is an int of ns, not {t!r}")
         if t < self._t:
             raise ValueError(f"virtual time would move backwards: {t} < {self._t}")
         self._t = t

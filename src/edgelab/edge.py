@@ -21,18 +21,19 @@ response is always consistent with exactly one deployment.
 Timing is simulated against the caller's clock: a fixed per-request
 handling cost, the origin delay when a render happens, and a one-shot
 cold-start penalty for the first request a fresh (or reset) worker
-instance handles.
+instance handles. Configured delays are seconds; the worker spends them
+on the clock as whole nanoseconds, and reports ``server_time`` in
+seconds again.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .clock import SYSTEM_CLOCK, Clock, Scheduler, ThreadScheduler
+from .clock import SYSTEM_CLOCK, Clock, Scheduler, ThreadScheduler, to_ns
 from .content import Post
 from .ssg import INDEX_PATH, POST_PATH_PREFIX, RenderedPage, SiteBuild, render_index, render_post
 
@@ -88,12 +89,13 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         for name in ("upstream_delay", "cold_start_penalty", "base_handling", "kv_read_delay"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number of seconds, not {value}")
+            to_ns(value, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.ttl is not None and not 0 < self.ttl < math.inf:
-            raise ValueError(f"ttl must be positive and finite, not {self.ttl} (use None for no expiry)")
+        if self.ttl is not None:
+            to_ns(self.ttl, "ttl")
+            if self.ttl <= 0:
+                raise ValueError(f"ttl must be positive, not {self.ttl} (use None for no expiry)")
         if self.strategy is Strategy.SWR and self.ttl is None:
             raise ValueError("SWR requires a finite ttl")
 
@@ -116,9 +118,10 @@ class Response:
 @dataclass(slots=True)
 class CacheEntry:
     page: RenderedPage
-    stored_at: float
+    stored_at: int  # ns
+    fresh_until: int | None  # stored_at + ttl: a HIT up to then; None: never stale
     deploy_id: int
-    hit: Response | None = None  # the last HIT served from this entry
+    hit: tuple[int, Response | None] = (-1, None)  # the last HIT served from this entry, by its elapsed ns
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ class Deployment:
     build: SiteBuild
     posts: tuple[Post, ...]
     by_slug: Mapping[str, Post]
-    answers: dict[str, Response]  # the last STATIC or SSR 200 per path
+    answers: dict[str, tuple[int, Response]]  # the last STATIC or SSR 200 per path, by its elapsed ns
 
     @classmethod
     def create(cls, build: SiteBuild, posts: Sequence[Post]) -> "Deployment":
@@ -149,8 +152,9 @@ class EdgeWorker:
     a connection clock that already reads the request's event time, and
     schedules that connection's next request at the clock's reading when
     ``handle_request`` returns. Every simulated request must therefore
-    advance the clock it is given (``base_handling`` > 0, or some other
-    delay); the driver rejects a response that took no virtual time.
+    advance the clock it is given (a ``base_handling`` of at least 1 ns
+    once rounded, or some other delay); the driver rejects a response that
+    took no virtual time.
     A request changes no state when it is a STATIC answer, an SSR answer
     or a fresh HIT on a warm worker; ``steady`` says what such a request
     gets, and the driver steps through runs of them without calling
@@ -161,6 +165,7 @@ class EdgeWorker:
 
     def __init__(self, config: StrategyConfig, scheduler: Scheduler | None = None):
         self.config = config
+        self._strategy = config.strategy
         self._scheduler: Scheduler = scheduler if scheduler is not None else ThreadScheduler()
         self._deployment: Deployment | None = None
         self._cache: dict[object, CacheEntry] = {}
@@ -172,8 +177,13 @@ class EdgeWorker:
         # another deploy (even by a request begun before the swap), and never
         # ages them; ISR and SWR key by path. Set once: a method call per
         # request would cost more than the lookup.
-        self._by_deploy = config.strategy is Strategy.DPR
-        self._ttl = None if self._by_deploy else config.ttl
+        self._by_deploy = self._strategy is Strategy.DPR
+        self._ttl = None if self._by_deploy or config.ttl is None else to_ns(config.ttl, "ttl")
+        # Delays in ns, converted once.
+        self._base = to_ns(config.base_handling, "base_handling")
+        self._cold_start = to_ns(config.cold_start_penalty, "cold_start_penalty")
+        self._upstream = to_ns(config.upstream_delay, "upstream_delay")
+        self._kv = to_ns(config.kv_read_delay, "kv_read_delay")
 
     @property
     def cache_size(self) -> int:
@@ -219,100 +229,102 @@ class EdgeWorker:
 
         A STATIC response or a cache HIT may be the object returned to an
         earlier request: the worker keeps the last one it built per path
-        (STATIC) or per cache entry (HIT) and returns it again when the
-        elapsed time is equal, as nothing else in it can differ. Treat the
-        response as read-only.
+        (STATIC) or per cache entry (HIT) with its elapsed ns, and returns
+        it again when the elapsed ns are equal, as nothing else in it can
+        differ. Treat the response as read-only.
         """
         dep = self._deployment
         if dep is None:
             raise RuntimeError("no deployment: call deploy() before serving")
-        cfg = self.config
-        strategy = cfg.strategy
+        strategy = self._strategy
         start = clock.now()
-        clock.sleep(cfg.base_handling)
+        clock.sleep(self._base)
         if self._cold and self._consume_cold():
-            clock.sleep(cfg.cold_start_penalty)
+            clock.sleep(self._cold_start)
 
         build = dep.build
         prebuilt = build.pages.get(path)
         if prebuilt is None:
             # 404s behave identically across strategies and are never cached.
-            return Response(404, _NOT_FOUND_BODY, clock.now() - start, _BYPASS)
+            return Response(404, _NOT_FOUND_BODY, (clock.now() - start) / 1e9, _BYPASS)
         deploy_id = build.deploy_id
 
         if strategy is _STATIC:
             elapsed = clock.now() - start
-            resp = dep.answers.get(path)
-            if resp is None or resp.server_time != elapsed:
-                resp = dep.answers[path] = Response(200, prebuilt.body, elapsed, _BYPASS, deploy_id)
-            return resp
+            answer = dep.answers.get(path)
+            if answer is None or answer[0] != elapsed:
+                answer = dep.answers[path] = (elapsed, Response(200, prebuilt.body, elapsed / 1e9, _BYPASS, deploy_id))
+            return answer[1]
 
         if strategy is _SSR:
             try:
                 page = self._render(dep, path, clock)
             except UpstreamError:
-                return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, _BYPASS)
-            resp = dep.answers[path] = Response(200, page.body, clock.now() - start, _BYPASS, deploy_id)
+                return Response(502, _UPSTREAM_ERROR_BODY, (clock.now() - start) / 1e9, _BYPASS)
+            elapsed = clock.now() - start
+            resp = Response(200, page.body, elapsed / 1e9, _BYPASS, deploy_id)
+            dep.answers[path] = (elapsed, resp)
             return resp
 
-        if cfg.kv_read_delay:
-            clock.sleep(cfg.kv_read_delay)
+        if self._kv:
+            clock.sleep(self._kv)
         key = (path, deploy_id) if self._by_deploy else path
         entry = self._cache.get(key)
 
         if entry is not None:
             now = clock.now()
-            if (ttl := self._ttl) is None or now - entry.stored_at <= ttl:
+            if (until := entry.fresh_until) is None or now <= until:
                 elapsed = now - start
                 hit = entry.hit
-                if hit is None or hit.server_time != elapsed:
-                    hit = entry.hit = Response(200, entry.page.body, elapsed, _HIT, entry.deploy_id)
-                return hit
+                if hit[0] != elapsed:
+                    hit = entry.hit = (elapsed, Response(200, entry.page.body, elapsed / 1e9, _HIT, entry.deploy_id))
+                return hit[1]
             if strategy is _SWR:
                 # Serve the stale bytes now; refresh for later requests.
                 self._schedule_revalidation(path, key, clock)
-                return Response(200, entry.page.body, clock.now() - start, _STALE, entry.deploy_id)
+                return Response(200, entry.page.body, (clock.now() - start) / 1e9, _STALE, entry.deploy_id)
             # ISR with a finite ttl treats stale as a miss: re-render inline.
 
         try:
             page = self._render(dep, path, clock)
         except UpstreamError:
-            return Response(502, _UPSTREAM_ERROR_BODY, clock.now() - start, _BYPASS)
-        new_entry = CacheEntry(page=page, stored_at=clock.now(), deploy_id=deploy_id)
+            return Response(502, _UPSTREAM_ERROR_BODY, (clock.now() - start) / 1e9, _BYPASS)
         with self._lock:
-            self._cache[key] = new_entry
-        return Response(200, page.body, clock.now() - start, _MISS, deploy_id)
+            self._cache[key] = self._entry(page, clock.now(), deploy_id)
+        return Response(200, page.body, (clock.now() - start) / 1e9, _MISS, deploy_id)
 
-    def steady(self, path: str) -> tuple[bytes, float, float, float, float | None] | None:
+    def steady(self, path: str) -> tuple[bytes, int, int, int, int | None] | None:
         """What a request for ``path`` gets now if it changes no state, or None if it may.
 
-        Returns ``(body, base, kv, stored_at, ttl)``: the page, the delays
-        ``handle_request`` adds on that path in the order it adds them
-        (``kv_read_delay`` for a HIT, ``upstream_delay`` for SSR, 0 for
-        STATIC), and the cache entry's store time and age limit (ttl None:
-        never stale). A request starting at t is then a STATIC or SSR
-        answer or a HIT that ends at ``t + base + kv``, as long as
+        Returns ``(body, base, kv, stored_at, ttl)``, times in whole ns: the
+        page, the delays ``handle_request`` adds on that path in the order
+        it adds them (``kv_read_delay`` for a HIT, ``upstream_delay`` for
+        SSR, 0 for STATIC), and the cache entry's store time and age limit
+        (ttl None: never stale). A request starting at t is then a STATIC or
+        SSR answer or a HIT that ends at ``t + base + kv``, as long as
         ``t + base + kv - stored_at <= ttl``. None for a cold worker, no
         deployment, a 404, no entry for this deploy, or an SSR page this
         deployment has not yet rendered (or cannot: the origin lost it).
         The SSR body is that earlier render, not a new one.
         """
         dep = self._deployment
-        cfg = self.config
         if dep is None or self._cold:
             return None
         page = dep.build.pages.get(path)
         if page is None:
             return None
-        if cfg.strategy is _STATIC:
-            return page.body, cfg.base_handling, 0.0, 0.0, None
-        if cfg.strategy is _SSR:
+        if self._strategy is _STATIC:
+            return page.body, self._base, 0, 0, None
+        if self._strategy is _SSR:
             last = dep.answers.get(path)
-            return None if last is None else (last.body, cfg.base_handling, cfg.upstream_delay, 0.0, None)
+            return None if last is None else (last[1].body, self._base, self._upstream, 0, None)
         entry = self._cache.get((path, dep.build.deploy_id) if self._by_deploy else path)
         if entry is None:
             return None
-        return entry.page.body, cfg.base_handling, cfg.kv_read_delay, entry.stored_at, self._ttl
+        return entry.page.body, self._base, self._kv, entry.stored_at, self._ttl
+
+    def _entry(self, page: RenderedPage, stored_at: int, deploy_id: int) -> CacheEntry:
+        return CacheEntry(page, stored_at, None if self._ttl is None else stored_at + self._ttl, deploy_id)
 
     def _render(self, dep: Deployment, path: str, clock: Clock) -> RenderedPage:
         """Fetch content from the simulated origin and render the page.
@@ -320,7 +332,7 @@ class EdgeWorker:
         The configured delay applies once per render, covering the
         origin round trip for the whole page.
         """
-        clock.sleep(self.config.upstream_delay)
+        clock.sleep(self._upstream)
         if path == INDEX_PATH:
             return render_index(dep.posts)
         slug = path.removeprefix(POST_PATH_PREFIX)
@@ -347,7 +359,7 @@ class EdgeWorker:
                     # stale-if-error (RFC 5861): keep the stale entry; the
                     # next stale read schedules another attempt.
                     return
-                entry = CacheEntry(page=page, stored_at=task_clock.now(), deploy_id=dep.build.deploy_id)
+                entry = self._entry(page, task_clock.now(), dep.build.deploy_id)
                 with self._lock:
                     self._cache[key] = entry
             finally:

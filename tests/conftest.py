@@ -8,8 +8,12 @@ from edgelab.edge import EdgeWorker, Strategy, StrategyConfig
 from edgelab.ssg import build_site
 
 
-class Overran(Exception):
-    """A call was still running when its ``deadline`` expired."""
+class Overran(BaseException):
+    """A call was still running when its ``deadline`` expired.
+
+    Not an ``Exception``, so hypothesis reports it at once instead of
+    shrinking: each shrink step would wait out the deadline again.
+    """
 
 
 @contextlib.contextmanager

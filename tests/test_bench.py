@@ -11,7 +11,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edgelab import bench, edge
@@ -31,7 +31,7 @@ from edgelab.bench import (
     run_audit,
     run_load,
 )
-from edgelab.clock import SerialScheduler, VirtualClock
+from edgelab.clock import SerialScheduler, VirtualClock, to_ns
 from edgelab.edge import CacheStatus, EdgeWorker, Response, Strategy, StrategyConfig
 from edgelab.experiment import audit_entry, audit_table, bench_entry, bench_table
 
@@ -46,7 +46,7 @@ def nearest_rank(sorted_values, p):
 
 def constant_handler(latency, body=b"x" * 512):
     def handle(path, clock):
-        clock.sleep(latency)
+        clock.sleep(to_ns(latency, "latency"))
         return Response(200, body, latency, CacheStatus.BYPASS)
 
     return handle
@@ -270,8 +270,8 @@ def heap_pop_push_load(target, cfg, clock, background):
     """The pop-then-push event loop the simulated driver replaced, kept as its reference."""
     fetch = getattr(target, "handle_request", target)
     start = clock.now()
-    deadline = start + cfg.duration
-    cutoff = start + cfg.discard_first
+    deadline = start + to_ns(cfg.duration, "duration")
+    cutoff = start + to_ns(cfg.discard_first, "discard_first")
     hist = LatencyHistogram()
     conn_clocks = [clock.fork() for _ in range(cfg.connections)]
     heap = [(start, i) for i in range(cfg.connections)]
@@ -285,7 +285,7 @@ def heap_pop_push_load(target, cfg, clock, background):
         resp = fetch(cfg.target_path, conn)
         now = conn.now()
         if t >= cutoff:
-            hist.record(now - t)
+            hist.record((now - t) / 1e9)
             total_bytes += len(resp.body)
             responses += 1
             errors += resp.status >= 400
@@ -296,7 +296,7 @@ def heap_pop_push_load(target, cfg, clock, background):
 
 
 def scripted_handler(delays, background, calls):
-    """A handler whose n-th call sleeps ``delays[n % len(delays)]`` and logs ``(connection, time)``.
+    """A handler whose n-th call sleeps ``delays[n % len(delays)]`` ns and logs ``(connection, time)``.
 
     Connections are numbered by the order their clocks are first seen.
     Every third call fails and every fifth queues a background task that
@@ -315,20 +315,23 @@ def scripted_handler(delays, background, calls):
     return handle
 
 
-@settings(max_examples=60, deadline=None)
+# The driver-equivalence tests below run each example under ``deadline``: a delay given in
+# seconds where ns are meant makes about 10**9 times the requests, and should fail, not stall.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     connections=st.integers(min_value=1, max_value=12),
-    delays=st.lists(st.sampled_from([0.001, 0.001, 0.001, 0.101, 0.0025]), min_size=1, max_size=8),
+    delays=st.lists(st.sampled_from([1_000_000, 1_000_000, 1_000_000, 101_000_000, 2_500_000]), min_size=1, max_size=8),
     duration=st.sampled_from([0.05, 0.2, 0.35]),
     discard_share=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
 )
-def test_simulated_driver_matches_a_pop_then_push_loop(connections, delays, duration, discard_share):
+def test_simulated_driver_matches_a_pop_then_push_loop(deadline, connections, delays, duration, discard_share):
     cfg = BenchConfig(duration=duration, connections=connections, discard_first=duration * discard_share)
     runs = []
     for driver in (run_load, heap_pop_push_load):
         background, calls = SerialScheduler(), []
         try:
-            outcome = driver(scripted_handler(delays, background, calls), cfg, VirtualClock(), background)
+            with deadline(2.0):
+                outcome = driver(scripted_handler(delays, background, calls), cfg, VirtualClock(), background)
         except TargetUnreachableError as exc:  # every request fell in the discarded window
             outcome = str(exc)
         runs.append((outcome, calls))
@@ -356,10 +359,10 @@ def run_capturing(driver, target, cfg, clock, background):
 
 
 # Weighted toward cached pages whose entries go stale mid-run.
-@settings(max_examples=150, deadline=None)
-@example(  # an ISR entry expires mid-run, at exact (dyadic) times
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(  # an ISR entry expires mid-run, its age landing exactly on the ttl
     strategy=Strategy.ISR, ttl=1.0, kv_read_delay=0.0, base_handling=0.125, upstream_delay=0.5,
-    cold_start_penalty=0.0, warm=True, cold=False, connections=2, clock_start=0.0, duration=3.0,
+    cold_start_penalty=0.0, warm=True, cold=False, connections=2, clock_start=0, duration=3.0,
     discard_share=0.0, page="index",
 )
 @given(
@@ -372,13 +375,13 @@ def run_capturing(driver, target, cfg, clock, background):
     warm=st.booleans(),
     cold=st.booleans(),
     connections=st.integers(min_value=1, max_value=12),
-    clock_start=st.sampled_from([0.0, 0.0, 3.7, 1000.25]),
+    clock_start=st.sampled_from([0, 0, 3_700_000_000, 1_000_250_000_000]),
     duration=st.sampled_from([0.8, 0.3, 0.05]),
     discard_share=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
     page=st.sampled_from(["index", "post", "index", "missing", "lost"]),
 )
 def test_fast_forward_matches_a_loop_that_calls_the_worker_every_time(
-    posts10, build10, strategy, ttl, kv_read_delay, base_handling, upstream_delay, cold_start_penalty,
+    deadline, posts10, build10, strategy, ttl, kv_read_delay, base_handling, upstream_delay, cold_start_penalty,
     warm, cold, connections, clock_start, duration, discard_share, page,
 ):
     if strategy is Strategy.SWR and ttl is None:
@@ -403,7 +406,8 @@ def test_fast_forward_matches_a_loop_that_calls_the_worker_every_time(
             background.drain()
         if cold:
             worker.cold_worker()
-        outcome, hist = run_capturing(driver, worker, cfg, clock, background)
+        with deadline(2.0):
+            outcome, hist = run_capturing(driver, worker, cfg, clock, background)
         runs.append((outcome, hist, clock.now()))
     (fast, fast_hist, fast_end), (ref, ref_hist, ref_end) = runs
     assert fast_end == ref_end
@@ -480,13 +484,12 @@ def test_an_ssr_page_the_origin_lost_is_a_502_on_every_request(monkeypatch, post
 def step_by_step(conn, deadline, cutoff, state, hist, path):
     """The per-request loop ``bench._step_steady`` replaced, kept as its reference."""
     _, base, kv, stored_at, ttl = state
-    limit = math.inf if ttl is None else ttl
     t = conn.now()
     recorded = run = 0
-    last = math.nan
+    last = None
     while t < deadline:
         now = t + base + kv
-        if now - stored_at > limit:
+        if ttl is not None and now - stored_at > ttl:
             break
         if now <= t:
             raise bench._took_no_time(path)
@@ -496,12 +499,12 @@ def step_by_step(conn, deadline, cutoff, state, hist, path):
                 run += 1
             else:
                 if run:
-                    hist.record_n(last, run)
+                    hist.record_n(last / 1e9, run)
                     recorded += run
                 last, run = sample, 1
         t = now
     if run:
-        hist.record_n(last, run)
+        hist.record_n(last / 1e9, run)
         recorded += run
     conn.jump_to(t)
     return recorded
@@ -519,68 +522,54 @@ class RecordNLog(LatencyHistogram):
         super().record_n(sample, n)
 
 
-def half_ulp_remainder(value, binade):
-    """A float near ``value`` that leaves exactly half of ulp(2**binade) over a multiple of it."""
-    u = math.ulp(2.0**binade)
-    return (math.floor(value / u) + 0.5) * u
-
-
-@settings(max_examples=200, deadline=None)
-@example(  # a ttl that expires inside 1000.25's binade
-    clock_start=1000.25, duration=30.0, base=0.001, kv=0.0, age=0.0, ttl=7.3, discard_share=0.0,
-)
-@example(  # a base that ties in [2, 4), where rounding to even makes the steps alternate
-    clock_start=math.nextafter(2.0, 0), duration=5.0, base=half_ulp_remainder(0.001, 1), kv=0.0, age=0.0,
-    ttl=None, discard_share=0.0,
-)
-@example(  # a kv that ties in [4, 8), likewise
-    clock_start=3.7, duration=5.0, base=0.001, kv=half_ulp_remainder(0.0021, 2), age=0.0, ttl=None,
+# Times in ns.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(  # a ttl that expires mid-run
+    clock_start=1_000_250_000_000, duration=30 * 10**9, base=1_000_000, kv=0, age=0, ttl=7_300_000_000,
     discard_share=0.0,
 )
-@example(  # the cutoff inside a segment
-    clock_start=math.nextafter(2.0, 0), duration=5.0, base=0.001, kv=0.0003, age=0.5, ttl=None,
+@example(  # the cutoff between two request starts
+    clock_start=1_999_999_999, duration=5 * 10**9, base=1_000_000, kv=300_000, age=500_000_000, ttl=None,
     discard_share=0.1237,
 )
 @example(  # a request that starts exactly at the deadline
-    clock_start=2.0, duration=1.0, base=2.0**-10, kv=0.0, age=0.0, ttl=None, discard_share=0.0,
+    clock_start=2 * 10**9, duration=10**9, base=1_000_000, kv=0, age=0, ttl=None, discard_share=0.0,
 )
-@example(  # both tie in [8, 16), stale before the deadline
-    clock_start=3.7, duration=30.0, base=half_ulp_remainder(0.0013, 3), kv=half_ulp_remainder(0.0021, 3),
-    age=0.25, ttl=12.0, discard_share=0.3,
+@example(  # stale before the deadline, with a cutoff
+    clock_start=3_700_000_000, duration=30 * 10**9, base=1_300_000, kv=2_100_000, age=250_000_000,
+    ttl=12 * 10**9, discard_share=0.3,
 )
-@example(clock_start=0.0, duration=1e4, base=0.37, kv=0.0, age=0.0, ttl=None, discard_share=0.9)
-@example(clock_start=0.0, duration=1.0, base=0.0, kv=0.0, age=0.0, ttl=None, discard_share=0.0)  # no time
+@example(clock_start=0, duration=10**13, base=370_000_000, kv=0, age=0, ttl=None, discard_share=0.9)
+@example(clock_start=0, duration=10**9, base=0, kv=0, age=0, ttl=None, discard_share=0.0)  # no time
 @given(
     clock_start=st.one_of(
-        st.sampled_from([0.0, math.nextafter(2.0, 0), 2.0, 3.7, 1000.25, math.nextafter(1024.0, 0)]),
-        st.floats(min_value=0.0, max_value=1e4),
+        st.sampled_from([0, 1_999_999_999, 2 * 10**9, 3_700_000_000, 1_000_250_000_000]),
+        st.integers(min_value=0, max_value=10**13),
     ),
-    duration=st.one_of(st.sampled_from([0.05, 1.0, 30.0, 1e4]), st.floats(min_value=0.01, max_value=1e4)),
-    base=st.one_of(
-        st.sampled_from([0.001, 0.0007, 0.0013, 0.125, 0.0]),
-        st.builds(half_ulp_remainder, st.sampled_from([0.001, 0.0013]), st.integers(-9, 13)),
+    duration=st.one_of(
+        st.sampled_from([50_000_000, 10**9, 30 * 10**9, 10**13]), st.integers(min_value=10**7, max_value=10**13),
     ),
-    kv=st.one_of(
-        st.sampled_from([0.0, 0.0, 0.0003, 0.0021]),
-        st.builds(half_ulp_remainder, st.sampled_from([0.0003, 0.0021]), st.integers(-9, 13)),
-    ),
-    age=st.floats(min_value=0.0, max_value=1.0),
-    ttl=st.one_of(st.none(), st.floats(min_value=0.01, max_value=2e4)),
+    base=st.one_of(st.sampled_from([1_000_000, 700_000, 1_300_000, 125_000_000, 0]), st.integers(0, 3_000_000)),
+    kv=st.one_of(st.sampled_from([0, 0, 300_000, 2_100_000]), st.integers(0, 3_000_000)),
+    age=st.integers(min_value=0, max_value=10**9),
+    ttl=st.one_of(st.none(), st.integers(min_value=10**7, max_value=2 * 10**13)),
     discard_share=st.one_of(st.sampled_from([0.0, 0.0, 0.3, 0.9]), st.floats(min_value=0.0, max_value=1.0)),
 )
-def test_closed_form_steps_match_a_loop_turn_per_request(clock_start, duration, base, kv, age, ttl, discard_share):
+def test_closed_form_steps_match_a_loop_turn_per_request(deadline, clock_start, duration, base, kv, age, ttl,
+                                                         discard_share):
     # Long runs get slower requests, so the reference loop makes at most about 40,000 turns.
-    # Scaling by a power of two keeps a tie a tie, one binade up per doubling.
-    scale = 2.0 ** max(0, math.ceil(math.log2(duration / 40_000 / max(base + kv, 1e-3))))
-    base, kv = base * scale, kv * scale
-    deadline = clock_start + duration
-    cutoff = clock_start + duration * discard_share
+    if base + kv:
+        scale = -(-duration // (40_000 * (base + kv)))
+        base, kv = base * scale, kv * scale
+    end = clock_start + duration
+    cutoff = clock_start + round(duration * discard_share)
     state = (b"x", base, kv, clock_start - age, ttl)
     runs = []
     for step in (bench._step_steady, step_by_step):
         conn, hist = VirtualClock(clock_start), RecordNLog()
         try:
-            outcome = step(conn, deadline, cutoff, state, hist, "/")
+            with deadline(2.0):
+                outcome = step(conn, end, cutoff, state, hist, "/")
         except ValueError as exc:
             outcome = str(exc)
         runs.append((outcome, conn.now(), hist.calls))
@@ -588,20 +577,17 @@ def test_closed_form_steps_match_a_loop_turn_per_request(clock_start, duration, 
 
 
 @pytest.mark.parametrize("strategy", [Strategy.STATIC, Strategy.ISR])
-@pytest.mark.parametrize("base_handling, count_tolerance", [
-    (2.0**-10, {"abs": 10}),  # a multiple of every float spacing below 2**42 s: each request takes it exactly
-    (0.001, {"rel": 1e-7}),  # rounded to ulp(t), up to 2**-34 s (5.8e-8 of it) off at t < 2**20 s
-])
-def test_a_long_steady_run_costs_a_jump_per_binade(worker_factory, deadline, strategy, base_handling, count_tolerance):
+@pytest.mark.parametrize("base_handling, responses", [(0.001, 10**10), (0.0008, 12_500_000_000)])
+def test_a_long_steady_run_is_exact_and_costs_one_jump(worker_factory, deadline, strategy, base_handling, responses):
     worker = worker_factory(strategy, base_handling=base_handling)
     clock = VirtualClock()
     worker.handle_request("/", clock)  # warms the worker and, for ISR, caches the page
     cfg = BenchConfig(duration=1e6, connections=10)
     with deadline(2.0):  # about 10**10 requests: one loop turn each would take hours
         report = run_load(worker, cfg, clock)
-    assert report.total_responses == pytest.approx(10 * 1e6 / base_handling, **count_tolerance)
+    assert report.total_responses == responses
     assert report.percentiles[50.0] == pytest.approx(base_handling, rel=0.01)
-    assert report.percentiles[100.0] == pytest.approx(base_handling, rel=0.01)
+    assert report.percentiles[100.0] == base_handling
 
 
 @pytest.mark.parametrize("field", ["duration", "discard_first"])
@@ -610,6 +596,18 @@ def test_non_finite_bench_settings_are_rejected(worker_factory, deadline, field,
     worker = worker_factory(Strategy.STATIC)
     with deadline(1.0), pytest.raises(ValueError, match=field):
         run_load(worker, BenchConfig(**{field: value}), VirtualClock())
+
+
+@pytest.mark.parametrize("settings, field", [
+    ({"duration": 1e-12}, "duration"),  # positive, but 0 ns
+    ({"duration": 1e300}, "duration"),
+    ({"duration": 1e13}, "duration"),  # more ns than int64 holds
+    ({"duration": 1.0, "discard_first": 1.0 - 1e-12}, "discard_first"),  # shorter, but not by 1 ns
+    ({"duration": 10.0, "discard_first": 1e13}, "discard_first"),
+])
+def test_bench_settings_outside_whole_ns_are_rejected(settings, field):
+    with pytest.raises(ValueError, match=field):
+        BenchConfig(**settings)
 
 
 @pytest.mark.parametrize("page", ["/posts/post-1?x=1", "/posts/post-1/", "/posts/post-1#f", "posts/post-1", "/a\tb", "/a\x00"])
@@ -660,7 +658,7 @@ def test_simulated_load_discard_first():
 
 def test_simulated_load_counts_error_statuses():
     def handler(path, clock):
-        clock.sleep(0.01)
+        clock.sleep(10_000_000)
         return Response(503, b"overloaded", 0.01, CacheStatus.BYPASS)
 
     report = run_load(handler, BenchConfig(duration=1.0, connections=1), VirtualClock())

@@ -145,6 +145,47 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, deadline, overrides, 
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration, responses", [("2", 20_000), ("3", 30_000), ("10", 100_000)])
+def test_deterministic_static_bench_counts_are_exact(capsys, duration, responses):
+    # 10 connections at 1 ms a request: virtual time gains or loses no request to rounding.
+    assert main(["bench", "--deterministic", "--variant", "static", "--duration", duration]) == 0
+    assert f"responses: {responses}  errors: 0  rps: 10000.0  " in capsys.readouterr().out
+
+
+# Virtual time is whole ns, at most int64's 2**63 - 1 (about 292 years) either side of 0.
+@pytest.mark.parametrize("duration, discard_first, field", [
+    ("1e-12", 0.0, "duration"),  # positive, but 0 ns
+    ("1e300", 0.0, "duration"),  # too many ns for any int64, or a float
+    ("1e13", 0.0, "duration"),
+    ("1e15", 0.0, "duration"),
+    ("1.0000000001", 1.0, "discard_first"),  # longer than discard_first, but not by 1 ns
+])
+def test_a_duration_flag_outside_whole_ns_exits_2(tmp_path, capsys, deadline, duration, discard_first, field):
+    cfg = write_config(tmp_path / "cfg.json", bench={"discard_first": discard_first})
+    with deadline(10.0):
+        assert main(["bench", "--deterministic", "--config", str(cfg), "--variant", "isr", "--duration", duration]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"bench": {"duration": 1e-12}}, "duration"),
+    ({"bench": {"duration": 1e300}}, "duration"),
+    ({"bench": {"duration": 1.0, "discard_first": 0.9999999999}}, "discard_first"),
+    ({"bench": {"discard_first": 1e13}}, "discard_first"),
+    ({"variants": [{"name": "static", "strategy": "STATIC", "base_handling": 1e300}]}, "base_handling"),
+    ({"variants": [{"name": "ssr", "strategy": "SSR", "upstream_delay": 1e13}]}, "upstream_delay"),
+    ({"variants": [{"name": "isr", "strategy": "ISR", "kv_read_delay": 1e13}]}, "kv_read_delay"),
+    ({"variants": [{"name": "isr", "strategy": "ISR", "cold_start_penalty": 1e13}]}, "cold_start_penalty"),
+    ({"variants": [{"name": "isr", "strategy": "ISR", "ttl": 1e13}]}, "ttl"),
+])
+def test_a_config_time_outside_whole_ns_exits_2(tmp_path, capsys, deadline, overrides, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    with deadline(10.0):
+        assert main(["bench", "--deterministic", "--config", str(cfg)]) == 2
+    assert field in capsys.readouterr().err
+
+
 # Each page with what the server would read (httpserve.request_page), or None where the
 # page already fails the first rule: one leading '/', no whitespace or control character.
 NON_CANONICAL_PAGES = [

@@ -71,9 +71,9 @@ def test_isr_ttl_expiry_rerenders_inline(worker_factory):
     w = worker_factory(Strategy.ISR, ttl=1.0)
     clock = VirtualClock()
     assert w.handle_request("/", clock).cache_status is CacheStatus.MISS
-    clock.sleep(0.5)
+    clock.sleep(500_000_000)
     assert w.handle_request("/", clock).cache_status is CacheStatus.HIT
-    clock.sleep(2.0)
+    clock.sleep(2_000_000_000)
     again = w.handle_request("/", clock)
     assert again.cache_status is CacheStatus.MISS
     assert again.server_time >= DELAY
@@ -112,6 +112,13 @@ def test_non_finite_strategy_settings_are_rejected(field, value):
         StrategyConfig(strategy=Strategy.ISR, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["upstream_delay", "ttl", "cold_start_penalty", "base_handling", "kv_read_delay"])
+@pytest.mark.parametrize("value", [1e13, 1e300])
+def test_strategy_settings_beyond_int64_ns_are_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        StrategyConfig(strategy=Strategy.ISR, **{field: value})
+
+
 def test_swr_requires_ttl():
     with pytest.raises(ValueError):
         StrategyConfig(strategy=Strategy.SWR)
@@ -130,7 +137,7 @@ def test_swr_stale_hit_serves_old_bytes_then_refreshes(posts10, build10):
     posts[0] = replace(posts[0], title="Fresh title")
     w.deploy(build_site(posts, prev_deploy_id=build10.deploy_id), posts)
 
-    clock.jump_to(2.0)
+    clock.jump_to(2_000_000_000)
     stale = w.handle_request("/", clock)
     assert stale.cache_status is CacheStatus.STALE
     assert stale.body == v1.body
@@ -149,7 +156,7 @@ def test_swr_revalidation_is_deduplicated(posts10, build10):
     w.deploy(build10, posts10)
     base = VirtualClock()
     w.handle_request("/", base)
-    base.jump_to(5.0)
+    base.jump_to(5_000_000_000)
 
     for _ in range(100):
         r = w.handle_request("/", base.fork())
@@ -170,7 +177,7 @@ def test_swr_revalidation_failure_keeps_serving_stale(posts10, build10):
 
     # The new build still lists the page, but the origin no longer has it.
     w.deploy(build_site(posts10, prev_deploy_id=build10.deploy_id), [p for p in posts10 if p.slug != "post-1"])
-    clock.jump_to(5.0)
+    clock.jump_to(5_000_000_000)
     assert w.handle_request(path, clock).cache_status is CacheStatus.STALE
     assert sched.drain() == 1  # the failed revalidation does not escape
 

@@ -5,11 +5,11 @@ alone: TTL expiry (an entry is fresh while its age is <= ttl), SWR's
 stale answer with one background revalidation that keeps the stale
 entry if the origin fails (RFC 5861 stale-if-error), DPR entries scoped
 to their deploy and never aged, exactly one request paying a cold
-start, and the float sums of the virtual clock. After every rule the
+start, and the whole-ns sums of the virtual clock. After every rule the
 machine also checks ``EdgeWorker.steady``: whenever it answers, the
 next request must be the stateless answer it describes.
 
-Delays are dyadic, so ages land exactly on the ttl and ``<=`` against
+Times are whole ns, so ages land exactly on the ttl and ``<=`` against
 ``<`` shows.
 """
 
@@ -25,14 +25,19 @@ from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
 from edgelab.ssg import INDEX_PATH, build_site, post_path, render_index, render_post
 
 HIT, MISS, STALE, BYPASS = CacheStatus.HIT, CacheStatus.MISS, CacheStatus.STALE, CacheStatus.BYPASS
-BASE, KV, UPSTREAM, COLD, TTL = 2.0**-10, 2.0**-12, 2.0**-4, 2.0**-2, 2.0**-1
+# Delays in ns; a StrategyConfig takes them in seconds.
+BASE, KV, UPSTREAM, COLD, TTL = 1_000_000, 250_000, 62_500_000, 250_000_000, 500_000_000
 
 POSTS = generate_posts(11, 3, word_min=5, word_max=20)
 EDITED = [replace(p, title=f"{p.title} (edited)") for p in POSTS]
 PATHS = [INDEX_PATH, *(post_path(p) for p in POSTS), "/no/such/page"]
 # Exact steps to the ttl boundary of an entry the last request wrote: by a miss
 # (stored at its end) or by an SWR revalidation (stored UPSTREAM after its end).
-STEPS = [KV, BASE, UPSTREAM, TTL - BASE - KV, TTL - BASE - KV + UPSTREAM, TTL, 1.0]
+STEPS = [KV, BASE, UPSTREAM, TTL - BASE - KV, TTL - BASE - KV + UPSTREAM, TTL, 1_000_000_000]
+
+
+def ns(seconds: float | None) -> int | None:
+    return None if seconds is None else round(seconds * 1e9)
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,9 @@ class Answer:
     status: int
     cache: CacheStatus
     deploy_id: int | None
-    server_time: float
+    server_time: float  # seconds
     body: bytes | None  # None: not compared (a 404 or 502 page)
-    end: float
+    end: int
     write: tuple | None = None  # (key, (body, stored_at, deploy_id)) the request leaves in the cache
 
 
@@ -51,9 +56,11 @@ class Oracle:
 
     def __init__(self, config: StrategyConfig):
         self.config = config
-        self.now = 0.0
+        self.base, self.cold_start = ns(config.base_handling), ns(config.cold_start_penalty)
+        self.kv, self.upstream, self.ttl = ns(config.kv_read_delay), ns(config.upstream_delay), ns(config.ttl)
+        self.now = 0
         self.cold = True
-        self.cache: dict[object, tuple[bytes, float, int]] = {}
+        self.cache: dict[object, tuple[bytes, int, int]] = {}
 
     def deploy(self, build, origin) -> None:
         self.build, self.origin = build, {post_path(p): p for p in origin}
@@ -69,31 +76,31 @@ class Oracle:
 
     def answer(self, path: str) -> Answer:
         """The next request's answer, without taking it."""
-        cfg, strategy, start, dep = self.config, self.config.strategy, self.now, self.build.deploy_id
-        t = start + cfg.base_handling
+        strategy, start, dep = self.config.strategy, self.now, self.build.deploy_id
+        t = start + self.base
         if self.cold:
-            t += cfg.cold_start_penalty
+            t += self.cold_start
         if path not in self.build.pages:
-            return Answer(404, BYPASS, None, t - start, None, t)
+            return Answer(404, BYPASS, None, (t - start) / 1e9, None, t)
         if strategy is Strategy.STATIC:
-            return Answer(200, BYPASS, dep, t - start, self.build.pages[path].body, t)
+            return Answer(200, BYPASS, dep, (t - start) / 1e9, self.build.pages[path].body, t)
         key = (path, dep) if strategy is Strategy.DPR else path
         if strategy is not Strategy.SSR:
-            t += cfg.kv_read_delay
+            t += self.kv
             if (entry := self.cache.get(key)) is not None:
                 body, stored_at, entry_dep = entry
-                if strategy is Strategy.DPR or t - stored_at <= cfg.ttl:
-                    return Answer(200, HIT, entry_dep, t - start, body, t)
+                if strategy is Strategy.DPR or t - stored_at <= self.ttl:
+                    return Answer(200, HIT, entry_dep, (t - start) / 1e9, body, t)
                 if strategy is Strategy.SWR:
                     fresh = self.origin_body(path)
-                    write = None if fresh is None else (key, (fresh, t + cfg.upstream_delay, dep))
-                    return Answer(200, STALE, entry_dep, t - start, body, t, write)
-        t += cfg.upstream_delay
+                    write = None if fresh is None else (key, (fresh, t + self.upstream, dep))
+                    return Answer(200, STALE, entry_dep, (t - start) / 1e9, body, t, write)
+        t += self.upstream
         if (body := self.origin_body(path)) is None:
-            return Answer(502, BYPASS, None, t - start, None, t)
+            return Answer(502, BYPASS, None, (t - start) / 1e9, None, t)
         if strategy is Strategy.SSR:
-            return Answer(200, BYPASS, dep, t - start, body, t)
-        return Answer(200, MISS, dep, t - start, body, t, (key, (body, t, dep)))
+            return Answer(200, BYPASS, dep, (t - start) / 1e9, body, t)
+        return Answer(200, MISS, dep, (t - start) / 1e9, body, t, (key, (body, t, dep)))
 
     def take(self, answer: Answer) -> None:
         self.now, self.cold = answer.end, False
@@ -102,12 +109,13 @@ class Oracle:
             self.cache[key] = entry
 
 
+UPSTREAM_S, TTL_S, COLD_S, BASE_S, KV_S = (ns / 1e9 for ns in (UPSTREAM, TTL, COLD, BASE, KV))
 CONFIGS = [
-    StrategyConfig(Strategy.STATIC, upstream_delay=UPSTREAM, cold_start_penalty=COLD, base_handling=BASE),
-    StrategyConfig(Strategy.SSR, upstream_delay=UPSTREAM, cold_start_penalty=COLD, base_handling=BASE),
-    StrategyConfig(Strategy.ISR, UPSTREAM, TTL, COLD, BASE, KV),
-    StrategyConfig(Strategy.SWR, UPSTREAM, TTL, COLD, BASE, KV),
-    StrategyConfig(Strategy.DPR, UPSTREAM, TTL, COLD, BASE, KV),  # a DPR ttl must be ignored
+    StrategyConfig(Strategy.STATIC, upstream_delay=UPSTREAM_S, cold_start_penalty=COLD_S, base_handling=BASE_S),
+    StrategyConfig(Strategy.SSR, upstream_delay=UPSTREAM_S, cold_start_penalty=COLD_S, base_handling=BASE_S),
+    StrategyConfig(Strategy.ISR, UPSTREAM_S, TTL_S, COLD_S, BASE_S, KV_S),
+    StrategyConfig(Strategy.SWR, UPSTREAM_S, TTL_S, COLD_S, BASE_S, KV_S),
+    StrategyConfig(Strategy.DPR, UPSTREAM_S, TTL_S, COLD_S, BASE_S, KV_S),  # a DPR ttl must be ignored
 ]
 
 
@@ -140,11 +148,11 @@ class EdgeWorkerModel(RuleBasedStateMachine):
             assert want.body is None or resp.body == want.body
             assert clock.now() == oracle.now
 
-    @rule(seconds=st.sampled_from(STEPS))
-    def advance(self, seconds):
+    @rule(ns=st.sampled_from(STEPS))
+    def advance(self, ns):
         for _, _, clock, oracle in self.sides:
-            clock.sleep(seconds)
-            oracle.now += seconds
+            clock.sleep(ns)
+            oracle.now += ns
 
     @rule(build_edited=st.booleans(), origin_edited=st.booleans(), lost=st.sampled_from([None, 0, 1, 2]))
     def deploy(self, build_edited, origin_edited, lost):
@@ -181,7 +189,7 @@ class EdgeWorkerModel(RuleBasedStateMachine):
                 if ttl is None or end - stored_at <= ttl:
                     assert (want.status, want.write, want.body) == (200, None, body), worker.config.strategy
                     assert want.cache in (HIT, BYPASS)
-                    assert want.server_time == end - oracle.now
+                    assert want.server_time == (end - oracle.now) / 1e9
                 else:
                     assert want.cache in (STALE, MISS) or want.status == 502
 
