@@ -469,6 +469,11 @@ def _run_load_simulated(
         resp = fetch(path, conn)
         now = conn.now()
         if (elapsed := now - t) != latency_ns:
+            if type(elapsed) is not int:
+                raise ValueError(
+                    f"a simulated request to {path} advanced the clock by {elapsed!r}; clock time "
+                    "is an int of ns (clock.to_ns converts seconds)"
+                )
             if elapsed <= 0:
                 raise _took_no_time(path)
             latency_ns, latency = elapsed, elapsed / 1e9

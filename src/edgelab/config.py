@@ -1,9 +1,11 @@
 """Experiment configuration: one JSON file drives build, serve and bench.
 
-All durations are seconds. The file format is validated against the
-schema shipped as ``config.schema.json`` (also committed at the repo
-root as ``config.example.json`` in filled-in form); command-line flags
-override file values.
+All durations are seconds. The file format is published as the schema
+``config.schema.json`` (also committed at the repo root as
+``config.example.json`` in filled-in form). ``from_dict`` checks a
+file's shape from the config dataclasses themselves, and their
+``__post_init__`` checks its ranges; command-line flags override file
+values.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from .bench import BenchConfig, ResetPolicy, check_page
 from .edge import Strategy, StrategyConfig
@@ -31,6 +30,10 @@ class ConfigError(ValueError):
 class VariantSpec:
     name: str
     config: StrategyConfig
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigError("name must not be empty")
 
 
 @dataclass(frozen=True)
@@ -74,14 +77,17 @@ class ExperimentConfig:
     base_port: int = 8300
 
     def __post_init__(self) -> None:
+        # Each message starts with the field it is about: from_dict names its JSON path by it.
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, not {self.seed}")
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
-            raise ConfigError(f"variant names must be unique: {names}")
+            raise ConfigError(f"variants must have unique names: {names}")
         if not self.variants:
-            raise ConfigError("at least one variant is required")
+            raise ConfigError("variants must hold at least one variant")
         if self.throttle_profile not in PROFILES:
             raise ConfigError(
-                f"unknown throttle profile {self.throttle_profile!r}; "
+                f"throttle_profile {self.throttle_profile!r} is unknown; "
                 f"known: {sorted(PROFILES)}"
             )
         if not math.isfinite(self.render_overhead):
@@ -96,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"word_min ({self.word_min}) must not exceed word_max ({self.word_max})"
             )
+        if not 1 <= self.base_port <= 65535:
+            raise ConfigError(f"base_port must be within 1-65535, not {self.base_port}")
 
     def effective_profile(self) -> ThrottleProfile:
         base = PROFILES[self.throttle_profile]
@@ -109,11 +117,6 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.emit().encode("utf-8")).hexdigest()
-
-
-def _schema() -> dict:
-    text = resources.files("edgelab").joinpath("config.schema.json").read_text()
-    return json.loads(text)
 
 
 def _plain(value):
@@ -132,43 +135,101 @@ def _plain(value):
     return value
 
 
-def _overlay(default, data: dict):
-    """``default`` with the JSON object ``data`` laid over it, field by field.
+def _overlay(default, data, path: str):
+    """``default`` with the JSON object ``data`` at ``path`` laid over it, field by field.
 
-    Nested objects are laid over the default's own sub-instance, so a
-    partial ``{"audit": {"reset": {"purge": false}}}`` keeps the audit
-    default's ``cold``.
+    Each value must have its field's JSON type, as in JSON Schema
+    2020-12: a bool is no number, and a float with no fractional part is
+    an integer, read as an int. Nested objects are laid over the
+    default's own sub-instance, so a partial
+    ``{"audit": {"reset": {"purge": false}}}`` keeps the audit default's
+    ``cold``. A range error from ``__post_init__`` names the field its
+    message starts with, by JSON path.
     """
+    annotations = {f.name: f.type for f in fields(default)}
     changes = {}
-    for name, value in data.items():
-        current = getattr(default, name)
-        if is_dataclass(current):
-            value = _overlay(current, value)
-        elif isinstance(current, tuple):
-            value = tuple(value)
+    for name, value in _typed(data, "dict", path).items():
+        where = f"{path}.{name}"
+        annotation = annotations.get(name)
+        if annotation is None:
+            raise _mismatch(where, f"unknown key {name!r}")
+        if is_dataclass(current := getattr(default, name)):
+            value = _overlay(current, value, where)
+        elif annotation.startswith("tuple["):
+            item = _variant if annotation == "tuple[VariantSpec, ...]" else _string
+            value = tuple(item(v, f"{where}[{i}]") for i, v in enumerate(_typed(value, "list", where)))
+        elif annotation == "Strategy":
+            if type(value) is not str or value not in _STRATEGIES:
+                raise _mismatch(where, f"{value!r} is not one of {sorted(_STRATEGIES)}")
+            value = _STRATEGIES[value]
+        else:
+            value = _typed(value, annotation, where)
         changes[name] = value
-    return replace(default, **changes)
+    try:
+        return replace(default, **changes)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
+        field_name = str(exc).split(" ", 1)[0].rpartition(".")[2]
+        where = f"{path}.{field_name}" if field_name in annotations else path
+        raise ConfigError(f"config is invalid at {where}: {exc}") from exc
 
 
-def _variant(data: dict) -> VariantSpec:
-    settings = {k: v for k, v in data.items() if k != "name"}
-    settings["strategy"] = Strategy(settings["strategy"])
-    return VariantSpec(data["name"], StrategyConfig(**settings))
+# Per field annotation, and "list"/"dict" for an array/object: the JSON
+# type's name in config.schema.json, and the exact Python types json.loads
+# reads it as (so a bool is no int).
+_JSON_TYPES = {
+    "int": ("integer", (int,)),
+    "float": ("number", (int, float)),
+    "float | None": ("number or null", (int, float, type(None))),
+    "str": ("string", (str,)),
+    "bool": ("boolean", (bool,)),
+    "list": ("array", (list,)),
+    "dict": ("object", (dict,)),
+}
+_STRATEGIES = {s.value: s for s in Strategy}
+# Laid under each variant's settings, which must name their own strategy.
+_VARIANT_BASE = StrategyConfig(Strategy.STATIC)
+
+
+def _mismatch(path: str, problem: str) -> ConfigError:
+    return ConfigError(f"config does not match schema at {path}: {problem}")
+
+
+def _typed(value, annotation: str, path: str):
+    """``value`` if JSON holds it as ``annotation``'s type; an integral float for an int as that int."""
+    kind, types = _JSON_TYPES[annotation]
+    if type(value) in types:
+        return value
+    if kind == "integer" and type(value) is float and value.is_integer():
+        return int(value)
+    raise _mismatch(path, f"{value!r} is not of type {kind}")
+
+
+def _string(value, path: str) -> str:
+    return _typed(value, "str", path)
+
+
+def _variant(data, path: str) -> VariantSpec:
+    """One ``variants`` entry: a ``name``, a ``strategy`` and any other ``StrategyConfig`` settings."""
+    settings = dict(_typed(data, "dict", path))
+    for key in ("name", "strategy"):
+        if key not in settings:
+            raise _mismatch(path, f"{key!r} is a required key")
+    name = _string(settings.pop("name"), f"{path}.name")
+    config = _overlay(_VARIANT_BASE, settings, path)
+    try:
+        return VariantSpec(name, config)
+    except ConfigError as exc:
+        raise ConfigError(f"config is invalid at {path}.name: {exc}") from exc
 
 
 def from_dict(data: dict) -> ExperimentConfig:
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match schema at {exc.json_path}: {exc.message}") from exc
+    """The default config with the JSON object ``data`` laid over it.
 
-    overrides = dict(data)
-    try:
-        if "variants" in overrides:
-            overrides["variants"] = tuple(_variant(v) for v in overrides["variants"])
-        return _overlay(ExperimentConfig(), overrides)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    Raises ConfigError, naming the JSON path of the bad value (such as
+    ``$.bench.duration``), for anything ``config.schema.json`` or a
+    ``__post_init__`` rejects.
+    """
+    return _overlay(ExperimentConfig(), data, "$")
 
 
 def parse(text: str) -> ExperimentConfig:

@@ -97,7 +97,7 @@ class StrategyConfig:
             if self.ttl <= 0:
                 raise ValueError(f"ttl must be positive, not {self.ttl} (use None for no expiry)")
         if self.strategy is Strategy.SWR and self.ttl is None:
-            raise ValueError("SWR requires a finite ttl")
+            raise ValueError("ttl must not be None: SWR requires a finite ttl")
 
 
 @dataclass(slots=True)

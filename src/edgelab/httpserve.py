@@ -50,10 +50,8 @@ import sys
 import threading
 import time
 from dataclasses import asdict
-from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
-from http.server import ThreadingHTTPServer
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
@@ -164,9 +162,19 @@ _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _CACHE_FIELDS = {s: b"x-edge-cache: %s\r\n" % s.value.encode() for s in CacheStatus}
 
 
+_DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
 @lru_cache(maxsize=1)  # made once a second
 def _server_and_date(second: int) -> bytes:
-    return f"Server: {_SERVER}\r\nDate: {formatdate(second, usegmt=True)}\r\n".encode()
+    """``Server`` and ``Date`` fields, the date an IMF-fixdate (RFC 9110 section 5.6.7) with English names."""
+    t = time.gmtime(second)
+    date = (
+        f"{_DAY_NAMES[t.tm_wday]}, {t.tm_mday:02d} {_MONTH_NAMES[t.tm_mon - 1]} {t.tm_year:04d} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+    return f"Server: {_SERVER}\r\nDate: {date}\r\n".encode()
 
 
 class _SilentHandler(socketserver.BaseRequestHandler):
@@ -312,9 +320,10 @@ class _ContentHandler(_SilentHandler):
             self._send(200, body, _JSON)
 
 
-class _HTTPServer(ThreadingHTTPServer):
+class _HTTPServer(socketserver.ThreadingTCPServer):
     """Binds IPv6 for an IPv6 literal and tracks open connections so a stop can end them."""
 
+    allow_reuse_address = True  # as http.server's servers set them
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], handler_cls: type[socketserver.BaseRequestHandler]):
@@ -332,7 +341,7 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class _Server:
-    """Owns a ThreadingHTTPServer running on a daemon thread."""
+    """Owns a threading TCP server running on a daemon thread."""
 
     def __init__(self, handler_cls: type[socketserver.BaseRequestHandler], host: str, port: int):
         self._httpd = _HTTPServer((host, port), handler_cls)

@@ -622,8 +622,7 @@ def test_a_page_the_server_would_read_differently_is_rejected(worker_factory, pa
 def test_simulated_load_exact_accounting():
     cfg = BenchConfig(duration=10.0, connections=3, target_path="/")
     report = run_load(constant_handler(0.01), cfg, VirtualClock())
-    # float accumulation can shift the final-request boundary by one
-    assert report.total_responses == pytest.approx(3 * 1000, abs=3)
+    assert report.total_responses == 3 * 1000
     assert report.requests_per_second == report.total_responses / report.duration
     assert report.requests_per_second * report.duration == pytest.approx(
         report.total_responses, rel=0.05
@@ -639,6 +638,16 @@ def test_simulated_request_taking_no_virtual_time_is_rejected(worker_factory, de
     worker = worker_factory(Strategy.STATIC, base_handling=0.0)
     with deadline(1.0), pytest.raises(ValueError, match="took no virtual time"):
         run_load(worker, BenchConfig(duration=1.0, connections=1), VirtualClock())
+
+
+def test_a_handler_that_sleeps_seconds_is_rejected(deadline):
+    # A float sleep would make the clock float ns, and the run about 10^9 times as long.
+    def handler(path, clock):
+        clock.sleep(0.001)
+        return Response(200, b"ok", 0.001, CacheStatus.BYPASS)
+
+    with deadline(1.0), pytest.raises(ValueError, match="/ advanced the clock by 0.001.*int of ns"):
+        run_load(handler, BenchConfig(duration=1.0, connections=2), VirtualClock())
 
 
 @pytest.mark.parametrize("strategy", [Strategy.ISR, Strategy.DPR])

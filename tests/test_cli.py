@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import signal
 import socket
 import subprocess
@@ -143,6 +144,48 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, deadline, overrides, 
     with deadline(10.0):
         assert main(["experiment", "--deterministic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seed": 1.0},
+    {"post_count": 3.0},
+    {"bench": {"connections": 2.0}},
+    {"audit": {"runs": 2.0}},
+])
+def test_an_integer_written_as_a_float_reads_as_that_int(tmp_path, capsys, overrides):
+    # JSON Schema counts 2.0 as an integer; the parser reads it as 2, so the outputs match the int config's.
+    as_ints = {key: ({k: int(v) for k, v in value.items()} if isinstance(value, dict) else int(value))
+               for key, value in overrides.items()}
+    outputs = []
+    for name, data in (("floats", overrides), ("ints", as_ints)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(data))
+        out_dir = tmp_path / name
+        assert main(["experiment", "--deterministic", "--config", str(cfg), "--duration", "1", "--out", str(out_dir)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+    assert ".0" in (tmp_path / "floats.json").read_text()
+    assert ".0" not in (tmp_path / "ints.json").read_text()
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
+
+
+def test_a_deterministic_experiment_imports_no_schema_library_or_http_server(tmp_path):
+    # The default experiment opens no socket and validates with the config dataclasses,
+    # so neither jsonschema nor http.server/email is worth its import time.
+    import edgelab
+
+    script = (
+        "import sys\n"
+        "from edgelab.cli import main\n"
+        "rc = main(['experiment', '--deterministic', '--duration', '1', '--out', sys.argv[1]])\n"
+        "print([m for m in ('jsonschema', 'http.server', 'email.utils') if m in sys.modules])\n"
+        "sys.exit(rc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(edgelab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("duration, responses", [("2", 20_000), ("3", 30_000), ("10", 100_000)])

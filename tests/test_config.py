@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgelab.config import AuditSettings, ConfigError, ExperimentConfig, from_dict, load, parse, preset
+from edgelab.config import AuditSettings, ConfigError, ExperimentConfig, VariantSpec, from_dict, load, parse, preset
+from edgelab.edge import Strategy, StrategyConfig
 
 
 def test_presets():
@@ -167,6 +168,70 @@ def test_non_finite_render_overhead_rejected(value):
 def test_schema_errors_name_the_field():
     with pytest.raises(ConfigError, match=r"\$\.bench\.duration"):
         from_dict({"bench": {"duration": -math.inf}})
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"bench": {"duration": 0}}, "$.bench.duration"),
+    ({"bench": {"connections": True}}, "$.bench.connections"),
+    ({"bench": {"connections": 2.5}}, "$.bench.connections"),
+    ({"bench": {"turbo": 1}}, "$.bench.turbo"),
+    ({"bench": []}, "$.bench"),
+    ({"render_overhead": False}, "$.render_overhead"),
+    ({"render_overhead": "0.1"}, "$.render_overhead"),
+    ({"audit": {"runs": 1}}, "$.audit.runs"),
+    ({"audit": {"pages": ["/", 3]}}, "$.audit.pages[1]"),
+    ({"audit": {"pages": "/"}}, "$.audit.pages"),
+    ({"audit": {"reset": {"purge": 1}}}, "$.audit.reset.purge"),
+    ({"variants": [{"name": "a", "strategy": "ISR"}, {"name": "b", "strategy": "ISR", "ttl": -1}]},
+     "$.variants[1].ttl"),
+    ({"variants": [{"name": "a", "strategy": "SWR"}]}, "$.variants[0].ttl"),
+    ({"variants": [{"name": "", "strategy": "ISR"}]}, "$.variants[0].name"),
+    ({"variants": [{"name": 1, "strategy": "ISR"}]}, "$.variants[0].name"),
+    ({"variants": [{"name": "a"}]}, "$.variants[0]"),
+    ({"variants": [{"name": "a", "strategy": "isr"}]}, "$.variants[0].strategy"),
+    ({"variants": [{"name": "a", "strategy": "ISR", "ttl_seconds": 1}]}, "$.variants[0].ttl_seconds"),
+    ({"variants": []}, "$.variants"),
+    ({"seed": -1}, "$.seed"),
+    ({"base_port": 65536}, "$.base_port"),
+    ({"throttle_profile": "satellite"}, "$.throttle_profile"),
+])
+def test_every_rejection_names_the_json_path(data, path):
+    with pytest.raises(ConfigError) as exc:
+        from_dict(data)
+    assert f" at {path}: " in str(exc.value)
+
+
+@pytest.mark.parametrize("data", [{"bench": {"duration": 10**400}}, {"render_overhead": 10**400}])
+def test_an_int_beyond_float_range_is_a_config_error(data):
+    # json.loads reads a long run of digits as an exact int, which no float holds.
+    with pytest.raises(ConfigError, match="too large"):
+        parse(json.dumps(data))
+
+
+def test_json_types_follow_json_schema():
+    # An integral float is an integer, read as an int; a number field keeps what it is given.
+    cfg = from_dict({"seed": 7.0, "bench": {"connections": 3.0, "duration": 2}, "render_overhead": 1})
+    assert (type(cfg.seed), type(cfg.bench.connections)) == (int, int)
+    assert cfg.bench.duration == 2 and type(cfg.bench.duration) is int
+    assert type(cfg.render_overhead) is int
+    assert cfg.emit() == parse(cfg.emit()).emit()
+    assert from_dict({"variants": [{"name": "i", "strategy": "ISR", "ttl": None}]}).variants[0].config.ttl is None
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"seed": -1}, "seed"),
+    ({"base_port": 0}, "base_port"),
+    ({"base_port": 65536}, "base_port"),
+])
+def test_range_rules_hold_without_a_file(kwargs, field):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**kwargs)
+    assert ExperimentConfig(seed=0, base_port=65535).base_port == 65535
+
+
+def test_a_variant_needs_a_name():
+    with pytest.raises(ConfigError, match="name"):
+        VariantSpec("", StrategyConfig(Strategy.ISR))
 
 
 def test_effective_profile_applies_render_overhead():

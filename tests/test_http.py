@@ -1,6 +1,7 @@
 """HTTP layer: variant servers, admin endpoints, the content API."""
 
 import contextlib
+import email.utils
 import http.client
 import importlib.util
 import io
@@ -14,7 +15,7 @@ from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgelab import httpserve
@@ -54,6 +55,23 @@ def _post(server, path):
         return resp.status, resp.read()
     finally:
         conn.close()
+
+
+@given(st.integers(min_value=0, max_value=2**34))
+@example(0)
+@example(951_782_400 + 45_296)  # 12:34:56 on 29 February 2000
+@example(2**31)  # past a signed 32-bit time_t
+def test_date_field_is_the_imf_fixdate_of_its_second(second):
+    expected = f"Server: {httpserve._SERVER}\r\nDate: {email.utils.formatdate(second, usegmt=True)}\r\n"
+    assert httpserve._server_and_date(second).decode() == expected
+
+
+def test_a_response_carries_the_current_date(isr_server):
+    before = int(time.time())
+    _, _, headers = _get(isr_server, "/")
+    sent = email.utils.parsedate_to_datetime(headers["date"]).timestamp()
+    assert before <= sent <= time.time()
+    assert headers["server"].startswith("edgelab/")
 
 
 def test_cache_status_header_miss_then_hit(isr_server, build10):
