@@ -131,7 +131,7 @@ class Deployment:
     build: SiteBuild
     posts: tuple[Post, ...]
     by_slug: Mapping[str, Post]
-    answers: dict[str, tuple[int, Response]]  # the last STATIC or SSR 200 per path, by its elapsed ns
+    answers: dict[str, Response]  # the last SSR 200 per path, which ``steady`` answers with
 
     @classmethod
     def create(cls, build: SiteBuild, posts: Sequence[Post]) -> "Deployment":
@@ -227,11 +227,10 @@ class EdgeWorker:
     def handle_request(self, path: str, clock: Clock = SYSTEM_CLOCK) -> Response:
         """Serve ``path``, spending its simulated time on ``clock``.
 
-        A STATIC response or a cache HIT may be the object returned to an
-        earlier request: the worker keeps the last one it built per path
-        (STATIC) or per cache entry (HIT) with its elapsed ns, and returns
-        it again when the elapsed ns are equal, as nothing else in it can
-        differ. Treat the response as read-only.
+        A cache HIT may be the object returned to an earlier request: the
+        worker keeps the last HIT it built per cache entry with its elapsed
+        ns, and returns it again when the elapsed ns are equal, as nothing
+        else in it can differ. Treat the response as read-only.
         """
         dep = self._deployment
         if dep is None:
@@ -250,20 +249,14 @@ class EdgeWorker:
         deploy_id = build.deploy_id
 
         if strategy is _STATIC:
-            elapsed = clock.now() - start
-            answer = dep.answers.get(path)
-            if answer is None or answer[0] != elapsed:
-                answer = dep.answers[path] = (elapsed, Response(200, prebuilt.body, elapsed / 1e9, _BYPASS, deploy_id))
-            return answer[1]
+            return Response(200, prebuilt.body, (clock.now() - start) / 1e9, _BYPASS, deploy_id)
 
         if strategy is _SSR:
             try:
                 page = self._render(dep, path, clock)
             except UpstreamError:
                 return Response(502, _UPSTREAM_ERROR_BODY, (clock.now() - start) / 1e9, _BYPASS)
-            elapsed = clock.now() - start
-            resp = Response(200, page.body, elapsed / 1e9, _BYPASS, deploy_id)
-            dep.answers[path] = (elapsed, resp)
+            dep.answers[path] = resp = Response(200, page.body, (clock.now() - start) / 1e9, _BYPASS, deploy_id)
             return resp
 
         if self._kv:
@@ -317,7 +310,7 @@ class EdgeWorker:
             return page.body, self._base, 0, 0, None
         if self._strategy is _SSR:
             last = dep.answers.get(path)
-            return None if last is None else (last[1].body, self._base, self._upstream, 0, None)
+            return None if last is None else (last.body, self._base, self._upstream, 0, None)
         entry = self._cache.get((path, dep.build.deploy_id) if self._by_deploy else path)
         if entry is None:
             return None

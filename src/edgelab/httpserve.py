@@ -30,13 +30,17 @@ HTTP/1.0 without ``keep-alive``. Lines end in CRLF or a bare LF, and one
 empty line before a request line is ignored. A request line of 65,536
 bytes or more gets 414; a request head has at most 100 header lines of
 under 65,536 bytes each (431 beyond). A request body framed by
-``content-length`` is read and discarded before dispatch (over 1 MiB gets
-413); ``Transfer-Encoding`` gets 501 and a close. Each response is one
+``content-length`` is skipped unread (over 1 MiB gets 413);
+``Transfer-Encoding`` gets 501 and a close. Each response is one
 ``sendall`` with a ``content-length``.
 
 ``parse_head`` is the head codec of both this server and the load client
 in ``bench``: bytes in, start line and headers out, no socket.
-``receive_head`` reads one head off a connection for both.
+``receive_head`` reads one head off a connection for both. Each
+connection is a loop: receive a head, ``respond`` to it (bytes in, bytes
+out, no socket), send ``100 Continue`` if asked, skip the body, and
+``sendall`` the reply. A refused request is a ``HeadError`` carrying its
+status, 501 included.
 """
 
 from __future__ import annotations
@@ -77,7 +81,11 @@ _POLL_INTERVAL = 0.01
 
 
 class HeadError(ValueError):
-    """A malformed head (``status`` 400) or an exceeded limit (414 for the start line, else 431)."""
+    """A refused request and the ``status`` it is answered with.
+
+    400 if malformed, 414 or 431 for a line over its limit, 413 for a body over ``MAX_BODY``,
+    505 for an unsupported version, 501 for ``Transfer-Encoding`` or a method the route does not serve.
+    """
 
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
@@ -177,8 +185,66 @@ def _server_and_date(second: int) -> bytes:
     return f"Server: {_SERVER}\r\nDate: {date}\r\n".encode()
 
 
+def _reply(status: int, body: bytes, fields: tuple[bytes, ...]) -> bytes:
+    """One whole response: status line, ``Server``, ``Date``, ``content-length``, ``fields``, body."""
+    head = b"%s%scontent-length: %d\r\n" % (_STATUS_LINES[status], _server_and_date(int(time.time())), len(body))
+    return b"".join((head, *fields, b"\r\n", body))
+
+
+def _error(exc: HeadError, method: str | None = None) -> bytes:
+    """A plain-text answer to ``exc`` that ends the connection; to a HEAD request, without its body."""
+    body = b"" if method == "HEAD" else f"{exc.status} {HTTPStatus(exc.status).phrase}: {exc}\n".encode()
+    return _reply(exc.status, body, (_TEXT, _CLOSE))
+
+
+def respond(
+    head: bytes, route: Callable[[str, str], tuple[int, bytes, tuple[bytes, ...]]]
+) -> tuple[bytes, bool, int, bool]:
+    """Answer one request head, no socket involved: ``(reply, close, body_length, expect_continue)``.
+
+    ``head`` is what ``receive_head`` returns. The request line, version,
+    headers and body framing are checked, a fault is answered in plain
+    text with a close, and ``route(method, page)`` answers the rest: it
+    returns ``(status, body, fields)``, each field a CRLF-ended header
+    line, or raises ``HeadError(..., 501)`` for a method it does not serve.
+    ``reply`` is empty for a request line of blanks, which gets no answer.
+    The caller sends ``100 Continue`` first if ``expect_continue``, then
+    skips ``body_length`` bytes of request body, then sends ``reply``.
+    """
+    method = None  # known once the request line and version are sound
+    size, expect_continue = 0, False
+    try:
+        requestline, headers = parse_head(head)
+        words = requestline.split()
+        if not words:
+            return b"", True, 0, False
+        if len(words) != 3:
+            raise HeadError(f"Bad request syntax ({requestline!r})")
+        if (version := words[2]) not in ("HTTP/1.1", "HTTP/1.0"):
+            raise HeadError(f"Bad request version ({version!r})", 505 if _HTTP_VERSION.fullmatch(version) else 400)
+        method, target = words[:2]
+        connection = headers.get("connection", "").lower()
+        close = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
+        if "transfer-encoding" in headers:
+            raise HeadError("Transfer-Encoding is not supported", 501)
+        if (length := headers.get("content-length")) is not None:
+            if not (length.isascii() and length.isdigit()):
+                raise HeadError(f"Bad Content-Length ({length!r})")
+            digits = length.lstrip("0")  # int() refuses a string of over 4,300 digits
+            if len(digits) > len(str(MAX_BODY)) or (n := int(digits or "0")) > MAX_BODY:
+                raise HeadError(f"a body of {length[:20]} bytes is over {MAX_BODY}", 413)
+            size = n
+        expect_continue = version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue"
+        # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
+        page = request_page("/" + target.lstrip("/") if target.startswith("//") else target)
+        status, body, fields = route(method, page)
+    except HeadError as exc:
+        return _error(exc, method), True, size, expect_continue
+    return _reply(status, body, fields), close, size, expect_continue
+
+
 class _SilentHandler(socketserver.BaseRequestHandler):
-    """One connection: receive a head, parse it, dispatch to ``do_<METHOD>``, answer; repeat.
+    """One connection: receive a request head, answer it with ``respond`` and the subclass's ``route``; repeat.
 
     Bytes received past a head (a body, a pipelined request) stay in
     ``_buf`` for the next read. A peer that goes away ends the connection
@@ -189,147 +255,98 @@ class _SilentHandler(socketserver.BaseRequestHandler):
         # Each response is one sendall; Nagle stays off so none waits on a delayed ACK.
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._buf = b""
-        self.command: str | None = None
 
     def handle(self) -> None:
-        self.close_connection = False
         with contextlib.suppress(ConnectionError):
-            while not self.close_connection:
-                self.handle_one_request()
+            while self.handle_one_request():
+                pass
 
-    def handle_one_request(self) -> None:
-        """Receive one request head, then parse, dispatch and answer it; at EOF, end the connection."""
+    def handle_one_request(self) -> bool:
+        """Receive one request and answer it; False once the connection is to end."""
         try:
-            self.raw_head, self._buf = receive_head(self.request.recv, self._buf)
-            if not self.raw_head:  # one empty line before a request line is ignored (RFC 9112 section 2.2)
-                self.raw_head, self._buf = receive_head(self.request.recv, self._buf)
+            self._head, self._buf = receive_head(self.request.recv, self._buf)
+            if not self._head:  # one empty line before a request line is ignored (RFC 9112 section 2.2)
+                self._head, self._buf = receive_head(self.request.recv, self._buf)
         except ConnectionError:
-            self.close_connection = True
-            return
+            return False
         except HeadError as exc:
-            self.send_error(exc.status, str(exc))
-            return
-        if self.parse_request():
-            method = getattr(self, "do_" + self.command, None)
-            if method is None:
-                self.send_error(501, f"Unsupported method ({self.command!r})")
-            else:
-                method()
+            reply, close = _error(exc), True
+        else:
+            reply, close, size, expect_continue = self.parse_request()
+            if expect_continue:
+                self.request.sendall(_CONTINUE)
+            buf = self._buf  # skip the body, which no route reads, or all up to EOF
+            while len(buf) < size and (chunk := self.request.recv(_RECV_SIZE)):
+                size -= len(buf)
+                buf = chunk
+            self._buf = buf[size:]
+        self.request.sendall(reply)
+        return not close
 
-    def parse_request(self) -> bool:
-        """Request line, headers, ``Connection``, ``Expect``, ``//`` and body framing of ``raw_head``.
-
-        On a fault the fault is answered and the result is False.
-        """
-        self.command = None
-        self.close_connection = True
-        try:
-            requestline, headers = parse_head(self.raw_head)
-        except HeadError as exc:
-            self.send_error(exc.status, str(exc))
-            return False
-        words = requestline.split()
-        if len(words) != 3:
-            if words:
-                self.send_error(400, f"Bad request syntax ({requestline!r})")
-            return False
-        command, path, version = words
-        if version not in ("HTTP/1.1", "HTTP/1.0"):
-            self.send_error(505 if _HTTP_VERSION.fullmatch(version) else 400, f"Bad request version ({version!r})")
-            return False
-        self.command = command
-        # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
-        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
-        connection = headers.get("connection", "").lower()
-        self.close_connection = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
-        if "transfer-encoding" in headers:
-            self.send_error(501, "Transfer-Encoding is not supported")
-            return False
-        size = 0
-        if (length := headers.get("content-length")) is not None:
-            if not (length.isascii() and length.isdigit()):
-                self.send_error(400, f"Bad Content-Length ({length!r})")
-                return False
-            digits = length.lstrip("0")  # int() refuses a string of over 4,300 digits
-            if len(digits) > len(str(MAX_BODY)) or (size := int(digits or "0")) > MAX_BODY:
-                self.send_error(413, f"a body of {length[:20]} bytes is over {MAX_BODY}")
-                return False
-        if version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue":
-            self.request.sendall(_CONTINUE)
-        if size:
-            self._discard(size)
-        return True
-
-    def _discard(self, n: int) -> None:
-        """Drop the next ``n`` bytes of the connection, a body nothing reads, or all up to EOF."""
-        buf = self._buf
-        while len(buf) < n and (chunk := self.request.recv(_RECV_SIZE)):
-            n -= len(buf)
-            buf = chunk
-        self._buf = buf[n:]
-
-    def _send(self, status: int, body: bytes, *fields: bytes) -> None:
-        """One response in one ``sendall``: status line, ``Server``, ``Date``, ``content-length``, ``fields``, body."""
-        head = b"%s%scontent-length: %d\r\n" % (_STATUS_LINES[status], _server_and_date(int(time.time())), len(body))
-        self.request.sendall(b"".join((head, *fields, b"\r\n", body)))
-
-    def send_error(self, status: int, message: str) -> None:
-        """Answer ``status`` with ``message`` as plain text, and end the connection."""
-        self.close_connection = True
-        body = b"" if self.command == "HEAD" else f"{status} {HTTPStatus(status).phrase}: {message}\n".encode()
-        self._send(status, body, _TEXT, _CLOSE)
+    def parse_request(self) -> tuple[bytes, bool, int, bool]:
+        # Its own method, though one call, so that a tracer can wrap the span
+        # from a received head to the sent reply without the wait for the head.
+        return respond(self._head, self.route)
 
 
 class _VariantHandler(_SilentHandler):
-    worker: EdgeWorker  # set on the subclass by VariantServer
+    server: VariantServer
 
-    def do_GET(self) -> None:
-        resp = self.worker.handle_request(request_page(self.path), SYSTEM_CLOCK)
-        server_us = b"x-server-time-us: %d\r\n" % round(resp.server_time * 1e6)
-        self._send(resp.status, resp.body, _HTML, _CACHE_FIELDS[resp.cache_status], server_us)
-
-    def do_POST(self) -> None:
-        endpoint = request_page(self.path)
-        if endpoint == "/__admin/purge":
-            removed = self.worker.purge_cache()
-            body = json.dumps({"removed": removed}).encode()
-            self._send(200, body, _JSON)
-        elif endpoint == "/__admin/cold":
-            self.worker.cold_worker()
-            self._send(200, b'{"ok": true}', _JSON)
-        else:
-            self._send(404, b'{"error": "unknown admin endpoint"}', _JSON)
+    def route(self, method: str, page: str) -> tuple[int, bytes, tuple[bytes, ...]]:
+        worker = self.server.worker
+        if method == "GET":
+            resp = worker.handle_request(page, SYSTEM_CLOCK)
+            server_us = b"x-server-time-us: %d\r\n" % round(resp.server_time * 1e6)
+            return resp.status, resp.body, (_HTML, _CACHE_FIELDS[resp.cache_status], server_us)
+        if method != "POST":
+            raise HeadError(f"Unsupported method ({method!r})", 501)
+        if page == "/__admin/purge":
+            return 200, json.dumps({"removed": worker.purge_cache()}).encode(), (_JSON,)
+        if page == "/__admin/cold":
+            worker.cold_worker()
+            return 200, b'{"ok": true}', (_JSON,)
+        return 404, b'{"error": "unknown admin endpoint"}', (_JSON,)
 
 
 class _ContentHandler(_SilentHandler):
-    # Set on the subclass by ContentServer.
-    list_body: bytes
-    post_bodies: dict[str, bytes]  # keyed by post id in canonical decimal
-    delay: float
+    server: ContentServer
 
-    def do_GET(self) -> None:
-        page = request_page(self.path)
+    def route(self, method: str, page: str) -> tuple[int, bytes, tuple[bytes, ...]]:
+        if method != "GET":
+            raise HeadError(f"Unsupported method ({method!r})", 501)
         if page == "/posts":
-            self._send(200, self.list_body, _JSON)
-        elif not page.startswith("/posts/"):
-            self._send(404, b'{"error": "not found"}', _JSON)
-        elif (body := self.post_bodies.get(page.removeprefix("/posts/"))) is None:
-            self._send(404, b'{"error": "no such post"}', _JSON)
-        else:
-            time.sleep(self.delay)
-            self._send(200, body, _JSON)
+            return 200, self.server.list_body, (_JSON,)
+        if not page.startswith("/posts/"):
+            return 404, b'{"error": "not found"}', (_JSON,)
+        if (body := self.server.post_bodies.get(page.removeprefix("/posts/"))) is None:
+            return 404, b'{"error": "no such post"}', (_JSON,)
+        time.sleep(self.server.delay)
+        return 200, body, (_JSON,)
 
 
-class _HTTPServer(socketserver.ThreadingTCPServer):
-    """Binds IPv6 for an IPv6 literal and tracks open connections so a stop can end them."""
+class _Server(socketserver.ThreadingTCPServer):
+    """A threading TCP server that binds IPv6 for an IPv6 literal and serves on its own daemon thread.
+
+    It tracks open connections, so a stop can end them.
+    """
 
     allow_reuse_address = True  # as http.server's servers set them
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], handler_cls: type[socketserver.BaseRequestHandler]):
-        self.address_family = socket.AF_INET6 if ":" in address[0] else socket.AF_INET
+    def __init__(self, handler_cls: type[_SilentHandler], host: str, port: int):
+        self.address_family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self.open_connections: set[socket.socket] = set()
-        super().__init__(address, handler_cls)
+        self._serving: threading.Thread | None = None
+        super().__init__((host, port), handler_cls)
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
 
     def process_request(self, request, client_address) -> None:
         self.open_connections.add(request)
@@ -339,38 +356,19 @@ class _HTTPServer(socketserver.ThreadingTCPServer):
         self.open_connections.discard(request)
         super().shutdown_request(request)
 
-
-class _Server:
-    """Owns a threading TCP server running on a daemon thread."""
-
-    def __init__(self, handler_cls: type[socketserver.BaseRequestHandler], host: str, port: int):
-        self._httpd = _HTTPServer((host, port), handler_cls)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
-
     def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(_POLL_INTERVAL,), daemon=True
-        )
-        self._thread.start()
+        self._serving = threading.Thread(target=self.serve_forever, args=(_POLL_INTERVAL,), daemon=True)
+        self._serving.start()
 
     def stop(self) -> None:
         """Stop accepting, and end open keep-alive connections so none reaches a stopped server."""
-        if self._thread is not None:  # else shutdown() waits forever for a serve_forever that never ran
-            self._httpd.shutdown()
-            self._thread.join(timeout=5)
-        for conn in list(self._httpd.open_connections):
+        if self._serving is not None:  # else shutdown() waits forever for a serve_forever that never ran
+            self.shutdown()
+            self._serving.join(timeout=5)
+        for conn in list(self.open_connections):
             with contextlib.suppress(OSError):  # closed by its handler meanwhile
                 conn.shutdown(socket.SHUT_RDWR)
-        self._httpd.server_close()
+        self.server_close()
 
     def __enter__(self):
         self.start()
@@ -384,9 +382,8 @@ class VariantServer(_Server):
     """Serves one worker. Port 0 binds an ephemeral port."""
 
     def __init__(self, worker: EdgeWorker, host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundVariantHandler", (_VariantHandler,), {"worker": worker})
-        super().__init__(handler, host, port)
         self.worker = worker
+        super().__init__(_VariantHandler, host, port)
 
 
 class ContentServer(_Server):
@@ -396,9 +393,7 @@ class ContentServer(_Server):
         if delay < 0:
             raise ValueError("delay must be >= 0")
         encoded = [(str(p.id), json.dumps(asdict(p)).encode()) for p in posts]
-        attrs = {
-            "list_body": b"[" + b", ".join(body for _, body in encoded) + b"]",
-            "post_bodies": dict(encoded),
-            "delay": delay,
-        }
-        super().__init__(type("BoundContentHandler", (_ContentHandler,), attrs), host, port)
+        self.list_body = b"[" + b", ".join(body for _, body in encoded) + b"]"
+        self.post_bodies = dict(encoded)  # keyed by post id in canonical decimal
+        self.delay = delay
+        super().__init__(_ContentHandler, host, port)
