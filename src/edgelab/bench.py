@@ -23,8 +23,8 @@ in-process worker, stretches of requests that change no state (STATIC
 and SSR answers and fresh HITs on a warm worker, per
 ``EdgeWorker.steady``) are stepped without calling the worker: virtual
 time is whole nanoseconds, every such request takes the same step, and
-each connection jumps in one closed-form step to its first request
-that finds its entry stale or starts at the deadline. So an SSR run
+each connection sleeps in one closed-form step to its first request
+that would find the page stale or starts at the deadline. So an SSR run
 renders its page once, not once per request, and the figures are those
 of calling the worker every time.
 
@@ -41,7 +41,6 @@ import json
 import math
 import re
 import socket
-import statistics
 import threading
 import time
 import urllib.parse
@@ -119,8 +118,8 @@ class LatencyHistogram:
         # Running totals of ``counts`` as of ``_cumulative_total`` samples,
         # rebuilt by ``percentile`` only after more samples arrived: a report
         # asks for seven points, and one rebuild costs as much as a bucket
-        # scan. Holds while ``record``, ``record_n`` and ``merge``, which all
-        # add to ``total_count``, are the only writers of ``counts``.
+        # scan. Holds while ``record`` and ``merge``, which both add to
+        # ``total_count``, are the only writers of ``counts``.
         self._cumulative: list[int] = []
         self._cumulative_total = 0
 
@@ -132,30 +131,22 @@ class LatencyHistogram:
     def _bucket_midpoint(index: int) -> float:
         return HIST_LOW * HIST_GROWTH ** (index + 0.5)
 
-    def record(self, sample: float) -> None:
+    def record(self, sample: float, n: int = 1) -> None:
+        """Record ``sample`` ``n`` (>= 1) times."""
         if sample == self._last_sample:
             idx = self._last_index
         elif sample < HIST_LOW or sample > HIST_HIGH:
-            self.clamped_count += 1
+            self.clamped_count += n
             idx = min(self._bucket_index(min(max(sample, HIST_LOW), HIST_HIGH)), _N_BUCKETS - 1)
         else:
             idx = min(self._bucket_index(sample), _N_BUCKETS - 1)
             self._last_sample = sample
             self._last_index = idx
-        self.counts[idx] += 1
-        self.total_count += 1
-        self.sum_value += sample
-        if sample > self.max_value:
-            self.max_value = sample
-
-    def record_n(self, sample: float, n: int) -> None:
-        """Record ``sample`` ``n`` (>= 1) times, as ``n`` calls of ``record`` would."""
-        if sample < HIST_LOW or sample > HIST_HIGH:
-            self.clamped_count += n
-        idx = min(self._bucket_index(min(max(sample, HIST_LOW), HIST_HIGH)), _N_BUCKETS - 1)
         self.counts[idx] += n
         self.total_count += n
-        self.sum_value += sample * n
+        # A float-by-int multiply costs the one-at-a-time path, which
+        # records every simulated request that reaches a worker.
+        self.sum_value += sample if n == 1 else sample * n
         if sample > self.max_value:
             self.max_value = sample
 
@@ -264,18 +255,19 @@ def _host_port(url: str) -> tuple[str, int]:
     """Host and port of a variant's base URL: ``http://host:port``, ``host:port`` or ``[::1]:port``.
 
     A variant is served at the root, so a base path is rejected rather
-    than silently dropped.
+    than silently dropped. An empty port means 80 (RFC 3986 section
+    3.2.3); port 0 names no server, so it is rejected.
     """
     split = urllib.parse.urlsplit(url if "//" in url else f"//{url}")
     try:
-        port = split.port or 80
+        port = split.port
     except ValueError as exc:
         raise ValueError(f"unsupported target url: {url}: {exc}") from exc
-    if split.scheme not in ("http", "") or not split.hostname:
+    if split.scheme not in ("http", "") or not split.hostname or port == 0:
         raise ValueError(f"unsupported target url: {url}")
     if split.path not in ("", "/") or split.query or split.fragment:
         raise ValueError(f"target url must not carry a path or query: {url}")
-    return split.hostname, port
+    return split.hostname, 80 if port is None else port
 
 
 class _HttpTarget:
@@ -487,7 +479,7 @@ def _run_load_simulated(
             background.drain()
         heapreplace(heap, (now, i))
 
-    clock.jump_to(deadline)
+    clock.sleep(deadline - start)
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
 
 
@@ -495,34 +487,33 @@ def _step_steady(
     conn: VirtualClock,
     deadline: int,
     cutoff: int,
-    state: tuple[bytes, int, int, int, int | None],
+    state: tuple[bytes, int, int | None],
     hist: LatencyHistogram,
     path: str,
 ) -> int:
     """Step one connection through requests that change no state; return how many it recorded.
 
     ``state`` is what ``EdgeWorker.steady`` returned. Each request takes
-    d = base + kv ns, so from t the j-th starts at t + j * d. The
-    connection makes the n requests that start before the deadline and
-    end while the entry is at most ``ttl`` old, n = min(ceil((deadline -
-    t) / d), floor((stored_at + ttl - t) / d)), records those that start
-    at or after ``cutoff`` in one ``record_n``, and jumps to t + n * d: the
-    start of the first request it did not make.
+    d = ``step`` ns, so from t the j-th starts at t + j * d. The connection
+    makes the n requests that start before the deadline and end by
+    ``fresh_until``, n = min(ceil((deadline - t) / d), floor((fresh_until
+    - t) / d)), records those that start at or after ``cutoff`` in one
+    ``record``, and sleeps n * d: to the start of the first request it did
+    not make.
     """
-    _, base, kv, stored_at, ttl = state
+    _, d, fresh_until = state
     t = conn.now()
-    d = base + kv
-    if t >= deadline or (ttl is not None and t + d - stored_at > ttl):
+    if t >= deadline or (fresh_until is not None and t + d > fresh_until):
         return 0
     if not d:
         raise _took_no_time(path)
     n = -((t - deadline) // d)  # -(a // b) is ceil(-a / b)
-    if ttl is not None:
-        n = min(n, (stored_at + ttl - t) // d)
+    if fresh_until is not None:
+        n = min(n, (fresh_until - t) // d)
     recorded = max(0, n - max(0, -((t - cutoff) // d)))
     if recorded:
-        hist.record_n(d / 1e9, recorded)
-    conn.jump_to(t + n * d)
+        hist.record(d / 1e9, recorded)
+    conn.sleep(n * d)
     return recorded
 
 
@@ -542,7 +533,7 @@ def _load_report(
     cfg: BenchConfig,
 ) -> BenchReport:
     if responses == 0:
-        raise TargetUnreachableError("no successful responses from target within the run")
+        raise ValueError(f"no request started after discard_first ({cfg.discard_first} s) of the {cfg.duration} s run")
     return BenchReport(
         avg_latency=hist.mean,
         requests_per_second=responses / measured,
@@ -642,11 +633,13 @@ def run_audit(
             statuses.append(resp.cache_status.value)
 
     def metric(values: Sequence[float]) -> AuditMetric:
-        rest = values[1:]
+        # statistics.median and statistics.fmean, as computed on Python 3.11.
+        rest = sorted(values[1:])
+        mid = len(rest) // 2
         return AuditMetric(
             run_1=values[0],
-            median_rest=statistics.median(rest),
-            average_rest=statistics.fmean(rest),
+            median_rest=rest[mid] if len(rest) % 2 else (rest[mid - 1] + rest[mid]) / 2,
+            average_rest=math.fsum(rest) / len(rest),
         )
 
     return AuditReport(

@@ -91,14 +91,6 @@ class VirtualClock:
             raise ValueError("cannot sleep a negative duration")
         self._t += ns
 
-    def jump_to(self, t: int) -> None:
-        """Move forward to absolute time ``t`` ns. Going backwards is a bug."""
-        if type(t) is not int:
-            raise TypeError(f"virtual time is an int of ns, not {t!r}")
-        if t < self._t:
-            raise ValueError(f"virtual time would move backwards: {t} < {self._t}")
-        self._t = t
-
     def fork(self) -> "VirtualClock":
         return VirtualClock(self._t)
 

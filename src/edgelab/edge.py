@@ -118,8 +118,7 @@ class Response:
 @dataclass(slots=True)
 class CacheEntry:
     page: RenderedPage
-    stored_at: int  # ns
-    fresh_until: int | None  # stored_at + ttl: a HIT up to then; None: never stale
+    fresh_until: int | None  # ns: a request that reads it by then is a HIT; None: never stale
     deploy_id: int
     hit: tuple[int, Response | None] = (-1, None)  # the last HIT served from this entry, by its elapsed ns
 
@@ -131,7 +130,7 @@ class Deployment:
     build: SiteBuild
     posts: tuple[Post, ...]
     by_slug: Mapping[str, Post]
-    answers: dict[str, Response]  # the last SSR 200 per path, which ``steady`` answers with
+    answers: dict[str, bytes]  # the body of the last SSR 200 per path, which ``steady`` answers with
 
     @classmethod
     def create(cls, build: SiteBuild, posts: Sequence[Post]) -> "Deployment":
@@ -256,8 +255,8 @@ class EdgeWorker:
                 page = self._render(dep, path, clock)
             except UpstreamError:
                 return Response(502, _UPSTREAM_ERROR_BODY, (clock.now() - start) / 1e9, _BYPASS)
-            dep.answers[path] = resp = Response(200, page.body, (clock.now() - start) / 1e9, _BYPASS, deploy_id)
-            return resp
+            dep.answers[path] = page.body
+            return Response(200, page.body, (clock.now() - start) / 1e9, _BYPASS, deploy_id)
 
         if self._kv:
             clock.sleep(self._kv)
@@ -286,19 +285,19 @@ class EdgeWorker:
             self._cache[key] = self._entry(page, clock.now(), deploy_id)
         return Response(200, page.body, (clock.now() - start) / 1e9, _MISS, deploy_id)
 
-    def steady(self, path: str) -> tuple[bytes, int, int, int, int | None] | None:
+    def steady(self, path: str) -> tuple[bytes, int, int | None] | None:
         """What a request for ``path`` gets now if it changes no state, or None if it may.
 
-        Returns ``(body, base, kv, stored_at, ttl)``, times in whole ns: the
-        page, the delays ``handle_request`` adds on that path in the order
-        it adds them (``kv_read_delay`` for a HIT, ``upstream_delay`` for
-        SSR, 0 for STATIC), and the cache entry's store time and age limit
-        (ttl None: never stale). A request starting at t is then a STATIC or
-        SSR answer or a HIT that ends at ``t + base + kv``, as long as
-        ``t + base + kv - stored_at <= ttl``. None for a cold worker, no
-        deployment, a 404, no entry for this deploy, or an SSR page this
-        deployment has not yet rendered (or cannot: the origin lost it).
-        The SSR body is that earlier render, not a new one.
+        Returns ``(body, step, fresh_until)``, times in whole ns: the page,
+        the time a request takes on that path (``base_handling``, plus
+        ``kv_read_delay`` for a HIT or ``upstream_delay`` for SSR), and the
+        last time a request may end and still find the page fresh (None:
+        never stale). So a request starting at t is a STATIC or SSR answer
+        or a HIT that ends at ``t + step``, as long as ``t + step <=
+        fresh_until``. None for a cold worker, no deployment, a 404, no
+        entry for this deploy, or an SSR page this deployment has not yet
+        rendered (or cannot: the origin lost it). The SSR body is that
+        earlier render, not a new one.
         """
         dep = self._deployment
         if dep is None or self._cold:
@@ -307,17 +306,17 @@ class EdgeWorker:
         if page is None:
             return None
         if self._strategy is _STATIC:
-            return page.body, self._base, 0, 0, None
+            return page.body, self._base, None
         if self._strategy is _SSR:
-            last = dep.answers.get(path)
-            return None if last is None else (last.body, self._base, self._upstream, 0, None)
+            body = dep.answers.get(path)
+            return None if body is None else (body, self._base + self._upstream, None)
         entry = self._cache.get((path, dep.build.deploy_id) if self._by_deploy else path)
         if entry is None:
             return None
-        return entry.page.body, self._base, self._kv, entry.stored_at, self._ttl
+        return entry.page.body, self._base + self._kv, entry.fresh_until
 
-    def _entry(self, page: RenderedPage, stored_at: int, deploy_id: int) -> CacheEntry:
-        return CacheEntry(page, stored_at, None if self._ttl is None else stored_at + self._ttl, deploy_id)
+    def _entry(self, page: RenderedPage, now: int, deploy_id: int) -> CacheEntry:
+        return CacheEntry(page, None if self._ttl is None else now + self._ttl, deploy_id)
 
     def _render(self, dep: Deployment, path: str, clock: Clock) -> RenderedPage:
         """Fetch content from the simulated origin and render the page.

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from html import escape
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -61,8 +60,11 @@ _POST_TEMPLATE = """<!doctype html>
 
 def _escape(text: str) -> str:
     # Most text has nothing to escape; five memchr scans are cheaper than
-    # escape()'s five replace() passes.
+    # escape()'s five replace() passes, and ``html`` is imported only when
+    # a page needs it.
     if "&" in text or "<" in text or ">" in text or '"' in text or "'" in text:
+        from html import escape
+
         return escape(text)
     return text
 

@@ -202,7 +202,7 @@ def test_repeated_sample_memo_matches_a_lookup_per_sample(runs):
 def test_record_n_matches_n_records(runs):
     h = LatencyHistogram()
     for v, n in runs:
-        h.record_n(v, n)
+        h.record(v, n)
     samples = [v for v, n in runs for _ in range(n)]
     counts, total, total_sum, maximum, clamped = reference_histogram(samples)
     assert (h.counts, h.total_count, h.max_value, h.clamped_count) == (counts, total, maximum, clamped)
@@ -291,7 +291,7 @@ def heap_pop_push_load(target, cfg, clock, background):
             errors += resp.status >= 400
         background.drain()
         heapq.heappush(heap, (now, i))
-    clock.jump_to(deadline)
+    clock.sleep(deadline - start)
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
 
 
@@ -332,7 +332,7 @@ def test_simulated_driver_matches_a_pop_then_push_loop(deadline, connections, de
         try:
             with deadline(2.0):
                 outcome = driver(scripted_handler(delays, background, calls), cfg, VirtualClock(), background)
-        except TargetUnreachableError as exc:  # every request fell in the discarded window
+        except ValueError as exc:  # every request fell in the discarded window
             outcome = str(exc)
         runs.append((outcome, calls))
     (outcome, calls), (want_outcome, want_calls) = runs
@@ -353,7 +353,7 @@ def run_capturing(driver, target, cfg, clock, background):
             mock.patch.object(sys.modules[__name__], "_load_report", capture):
         try:
             outcome = driver(target, cfg, clock, background)
-        except TargetUnreachableError as exc:  # every request fell in the discarded window
+        except ValueError as exc:  # every request fell in the discarded window
             outcome = str(exc)
     return outcome, hists[0]
 
@@ -483,13 +483,13 @@ def test_an_ssr_page_the_origin_lost_is_a_502_on_every_request(monkeypatch, post
 
 def step_by_step(conn, deadline, cutoff, state, hist, path):
     """The per-request loop ``bench._step_steady`` replaced, kept as its reference."""
-    _, base, kv, stored_at, ttl = state
-    t = conn.now()
+    _, step, fresh_until = state
+    t = start = conn.now()
     recorded = run = 0
     last = None
     while t < deadline:
-        now = t + base + kv
-        if ttl is not None and now - stored_at > ttl:
+        now = t + step
+        if fresh_until is not None and now > fresh_until:
             break
         if now <= t:
             raise bench._took_no_time(path)
@@ -499,27 +499,27 @@ def step_by_step(conn, deadline, cutoff, state, hist, path):
                 run += 1
             else:
                 if run:
-                    hist.record_n(last / 1e9, run)
+                    hist.record(last / 1e9, run)
                     recorded += run
                 last, run = sample, 1
         t = now
     if run:
-        hist.record_n(last / 1e9, run)
+        hist.record(last / 1e9, run)
         recorded += run
-    conn.jump_to(t)
+    conn.sleep(t - start)
     return recorded
 
 
-class RecordNLog(LatencyHistogram):
-    """A histogram that logs its ``record_n`` calls."""
+class RecordLog(LatencyHistogram):
+    """A histogram that logs its ``record`` calls."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
 
-    def record_n(self, sample, n):
+    def record(self, sample, n=1):
         self.calls.append((sample, n))
-        super().record_n(sample, n)
+        super().record(sample, n)
 
 
 # Times in ns.
@@ -563,10 +563,10 @@ def test_closed_form_steps_match_a_loop_turn_per_request(deadline, clock_start, 
         base, kv = base * scale, kv * scale
     end = clock_start + duration
     cutoff = clock_start + round(duration * discard_share)
-    state = (b"x", base, kv, clock_start - age, ttl)
+    state = (b"x", base + kv, None if ttl is None else clock_start - age + ttl)
     runs = []
     for step in (bench._step_steady, step_by_step):
-        conn, hist = VirtualClock(clock_start), RecordNLog()
+        conn, hist = VirtualClock(clock_start), RecordLog()
         try:
             with deadline(2.0):
                 outcome = step(conn, end, cutoff, state, hist, "/")
@@ -734,6 +734,7 @@ def test_discard_first_must_be_shorter_than_duration():
         ("127.0.0.1:8300", "127.0.0.1", 8300),
         ("localhost:8300", "localhost", 8300),
         ("http://localhost", "localhost", 80),
+        ("http://localhost:", "localhost", 80),  # an empty port is the default (RFC 3986 section 3.2.3)
         ("http://[::1]:8300", "::1", 8300),
         ("[::1]:8300", "::1", 8300),
     ],
@@ -753,6 +754,8 @@ def test_target_url_forms(url, host, port):
         "http://127.0.0.1:port",
         "http://:8300",
         "",
+        "http://127.0.0.1:0",
+        "[::1]:0",
     ],
 )
 def test_target_url_rejects(url):

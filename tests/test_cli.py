@@ -108,6 +108,14 @@ def test_bench_discard_whole_run_is_config_error(tmp_path, capsys):
     assert "discard_first" in capsys.readouterr().err
 
 
+def test_bench_that_discards_every_request_is_config_error(tmp_path, capsys):
+    # SSR takes 0.101 s, so the only requests start at 0, inside the discarded 0.05 s.
+    cfg = write_config(tmp_path / "cfg.json", bench={"duration": 0.1, "discard_first": 0.05})
+    assert main(["bench", "--config", str(cfg), "--variant", "ssr", "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert "discard_first" in err and "unreachable" not in err and "no successful" not in err
+
+
 def test_deterministic_bench_of_a_zero_cost_variant_exits_2(tmp_path, capsys, deadline):
     data = json.loads((Path(__file__).parents[1] / "config.example.json").read_text())
     static = next(v for v in data["variants"] if v["name"] == "static")
@@ -181,7 +189,8 @@ def test_a_deterministic_experiment_imports_no_schema_library_or_http_server(tmp
         "before = set(sys.modules)\n"
         "from edgelab.cli import main\n"
         "rc = main(['experiment', '--deterministic', '--duration', '1', '--out', sys.argv[1]])\n"
-        "print([m for m in ('jsonschema', 'http.server', 'email.utils') if m in sys.modules])\n"
+        "print([m for m in ('jsonschema', 'http.server', 'email.utils', 'statistics', 'html')\n"
+        "       if m in sys.modules])\n"
         "print(sorted(m for m in set(sys.modules) - before\n"
         "             if m.partition('.')[0] not in {'edgelab', *sys.stdlib_module_names}))\n"
         "sys.exit(rc)\n"

@@ -31,14 +31,10 @@ def test_virtual_time_is_whole_ns():
     clock = VirtualClock(5)
     clock.sleep(1_000_000)
     fork = clock.fork()
-    fork.jump_to(2_000_000)
+    fork.sleep(999_995)
     assert (clock.now(), fork.now()) == (1_000_005, 2_000_000)
     with pytest.raises(TypeError):
         VirtualClock(1.0)
-    with pytest.raises(TypeError):
-        clock.jump_to(2.0)
-    with pytest.raises(ValueError):
-        clock.jump_to(0)
 
 
 def test_the_system_clock_reads_monotonic_ns():

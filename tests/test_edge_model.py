@@ -183,10 +183,10 @@ class EdgeWorkerModel(RuleBasedStateMachine):
             for path in PATHS:
                 if (state := worker.steady(path)) is None:
                     continue
-                body, base, kv, stored_at, ttl = state
+                body, step, fresh_until = state
                 want = oracle.answer(path)
-                end = oracle.now + base + kv
-                if ttl is None or end - stored_at <= ttl:
+                end = oracle.now + step
+                if fresh_until is None or end <= fresh_until:
                     assert (want.status, want.write, want.body) == (200, None, body), worker.config.strategy
                     assert want.cache in (HIT, BYPASS)
                     assert want.server_time == (end - oracle.now) / 1e9
