@@ -6,7 +6,7 @@ build        render the site to disk and write/refresh a build manifest
 serve        serve each configured variant on its own port (plus an
              optional raw content API) until interrupted
 bench        one sustained load run against a URL or in-process variant
-audit        one first-vs-warm audit of a page
+audit        first-vs-warm audits of the configured pages, or of one page
 experiment   audits + load runs for every variant; writes audit.md,
              audit.csv, percentiles.csv and summary.json
 report       regenerate the table files from an existing summary.json
@@ -24,9 +24,10 @@ import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
-from .bench import ResetPolicy, TargetUnreachableError, run_audit, run_load
+from .bench import TargetUnreachableError, run_audit, run_load
 from .clock import SerialScheduler, VirtualClock
 from .config import ConfigError, ExperimentConfig, load as load_config, preset
 from .content import generate_posts
@@ -36,6 +37,7 @@ from .experiment import (
     audit_table,
     bench_entry,
     bench_table,
+    check_built,
     page_label,
     run_experiment,
     tables_from_summary,
@@ -51,25 +53,27 @@ EXIT_PORT = 4
 EXIT_UNREACHABLE = 5
 
 
+# Each config-backed flag's argparse dest, which defaults to None, and the config field it overrides.
+_OVERRIDES = {
+    "seed": "seed", "base_port": "base_port",
+    "duration": "bench.duration", "connections": "bench.connections", "path": "bench.target_path",
+    "runs": "audit.runs", "purge": "audit.reset.purge", "cold": "audit.reset.cold",
+}
+
+
+def _with(settings, field: str, value):
+    """``settings`` with the dotted ``field`` set, so every level's ``__post_init__`` checks it."""
+    name, _, rest = field.partition(".")
+    return replace(settings, **{name: _with(getattr(settings, name), rest, value) if rest else value})
+
+
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = preset(getattr(args, "preset", None) or "core-three")
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+    """The loaded config, or the preset, with each config-backed flag that was given laid over it."""
+    cfg = load_config(args.config) if args.config else preset(args.preset or "core-three")
+    for dest, field in _OVERRIDES.items():
+        if (value := getattr(args, dest, None)) is not None:
+            cfg = _with(cfg, field, value)
     return cfg
-
-
-def _bench_config(cfg: ExperimentConfig, args: argparse.Namespace):
-    bench = cfg.bench
-    if getattr(args, "duration", None) is not None:
-        bench = replace(bench, duration=args.duration)
-    if getattr(args, "connections", None) is not None:
-        bench = replace(bench, connections=args.connections)
-    if getattr(args, "path", None) is not None:
-        bench = replace(bench, target_path=args.path)
-    return bench
 
 
 def _pick_variant(cfg: ExperimentConfig, name: str | None):
@@ -80,13 +84,6 @@ def _pick_variant(cfg: ExperimentConfig, name: str | None):
             return variant
     known = ", ".join(v.name for v in cfg.variants)
     raise ConfigError(f"unknown variant {name!r}; configured: {known}")
-
-
-def _deployed_worker(cfg: ExperimentConfig, variant, scheduler=None) -> EdgeWorker:
-    posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
-    worker = EdgeWorker(variant.config, scheduler)
-    worker.deploy(build_site(posts), posts)
-    return worker
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -139,17 +136,16 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    base_port = args.base_port if args.base_port is not None else cfg.base_port
-    last_port = base_port + len(cfg.variants) - 1 + args.content_api
-    if not 1 <= base_port <= last_port <= 65535:
-        raise ConfigError(f"ports {base_port}-{last_port} are not all within 1-65535")
+    last_port = cfg.base_port + len(cfg.variants) - 1 + args.content_api
+    if last_port > 65535:
+        raise ConfigError(f"ports {cfg.base_port}-{last_port} are not all within 1-65535")
     posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
     build = build_site(posts)
 
     servers: list[tuple[str, str, VariantServer | ContentServer]] = []
     try:
         try:
-            port = base_port
+            port = cfg.base_port
             for variant in cfg.variants:
                 worker = EdgeWorker(variant.config)
                 worker.deploy(build, posts)
@@ -180,8 +176,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _target(cfg: ExperimentConfig, args: argparse.Namespace):
-    """What ``bench`` and ``audit`` run against: (target, clock, scheduler, label)."""
+def _target(cfg: ExperimentConfig, args: argparse.Namespace, name: str, pages: Sequence[str]):
+    """What ``bench`` and ``audit`` run against: (target, clock, scheduler, label).
+
+    An in-process target's site must hold each of ``pages`` (the setting ``name``).
+    """
     if args.url:
         if args.deterministic:
             raise ConfigError("deterministic runs need an in-process --variant, not a --url")
@@ -189,14 +188,18 @@ def _target(cfg: ExperimentConfig, args: argparse.Namespace):
     variant = _pick_variant(cfg, args.variant)
     scheduler = SerialScheduler() if args.deterministic else None
     clock = VirtualClock() if args.deterministic else None
-    return _deployed_worker(cfg, variant, scheduler), clock, scheduler, variant.name
+    posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
+    build = build_site(posts)
+    check_built(name, pages, build)
+    worker = EdgeWorker(variant.config, scheduler)
+    worker.deploy(build, posts)
+    return worker, clock, scheduler, variant.name
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    bench = _bench_config(cfg, args)
-    target, clock, scheduler, label = _target(cfg, args)
-    report = run_load(target, bench, clock, scheduler)
+    target, clock, scheduler, label = _target(cfg, args, "bench.target_path", (cfg.bench.target_path,))
+    report = run_load(target, cfg.bench, clock, scheduler)
 
     print(
         f"responses: {report.total_responses}  errors: {report.error_count}  "
@@ -210,22 +213,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    reset = ResetPolicy(purge=not args.no_purge, cold=args.cold)
-    target, clock, _, label = _target(cfg, args)
-    report = run_audit(
-        target, args.page, cfg.effective_profile(), runs=args.runs, reset=reset, clock=clock
-    )
-    entry = audit_entry(f"{label} {page_label(args.page)}", report)
-    print(audit_table([entry]).to_markdown(), end="")
-    print(f"cache: {' '.join(report.cache_statuses)}")
+    name, pages = ("audit.pages", cfg.audit.pages) if args.page is None else ("page", (args.page,))
+    target, clock, _, label = _target(cfg, args, name, pages)
+    entries = []
+    for page in pages:
+        report = run_audit(target, page, cfg.effective_profile(), cfg.audit.runs, cfg.audit.reset, clock)
+        entries.append(audit_entry(f"{label} {page_label(page)}", report))
+    print(audit_table(entries).to_markdown(), end="")
+    for entry in entries:
+        print(f"cache: {' '.join(entry['cache_statuses'])}  ({entry['label']})")
     return EXIT_OK
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    cfg = replace(cfg, bench=_bench_config(cfg, args))
-    if args.runs is not None:
-        cfg = replace(cfg, audit=replace(cfg.audit, runs=args.runs))
     out = args.out if args.out is not None else cfg.out_dir
 
     result = run_experiment(cfg, deterministic=args.deterministic, out_dir=out)
@@ -291,14 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true", help="virtual clock, reproducible")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("audit", parents=[common], help="first-vs-warm audit of one page")
+    p = sub.add_parser("audit", parents=[common], help="first-vs-warm audit of each configured page")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--url", help="base URL of a running variant")
     group.add_argument("--variant", help="configured variant to run in-process")
-    p.add_argument("--page", default="/", help="page to audit (default /)")
-    p.add_argument("--runs", type=int, default=5, help="total runs (default 5)")
-    p.add_argument("--no-purge", action="store_true", help="keep the cache before run 1")
-    p.add_argument("--cold", action="store_true", help="mark the worker cold before run 1")
+    p.add_argument("--page", help="page to audit (default: each of the config's audit.pages)")
+    p.add_argument("--runs", type=int, help="total runs per page (default from config)")
+    p.add_argument("--no-purge", dest="purge", action="store_false", default=None, help="keep the cache before run 1")
+    p.add_argument("--cold", action="store_true", default=None, help="mark the worker cold before run 1")
     p.add_argument("--deterministic", action="store_true", help="virtual clock, reproducible")
     p.set_defaults(func=cmd_audit)
 
@@ -308,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, help="load run seconds override")
     p.add_argument("--connections", type=int, help="closed-loop connections override")
     p.add_argument("--runs", type=int, help="audit runs override")
-    p.add_argument("--path", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="regenerate tables from a summary.json")

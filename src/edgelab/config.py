@@ -13,17 +13,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 from .bench import BenchConfig, ResetPolicy, check_page
+from .content import DEFAULT_WORD_MAX, DEFAULT_WORD_MIN
 from .edge import Strategy, StrategyConfig
 from .netmodel import PROFILES, ThrottleProfile
 
 
 class ConfigError(ValueError):
     """Configuration file or flag values are invalid."""
+
+
+# What would split a report cell: CSV's separator and quote, markdown's bar, and C0/C1 controls.
+_UNSAFE_IN_NAME = re.compile(r'[,"|\x00-\x1f\x7f-\x9f]')
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,8 @@ class VariantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("name must not be empty")
+        if _UNSAFE_IN_NAME.search(self.name):
+            raise ConfigError(f"name must hold no ',', '\"', '|' or control character, not {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,8 @@ _ALL_VARIANTS = _CORE_VARIANTS + (
 class ExperimentConfig:
     seed: int = 42
     post_count: int = 100
-    word_min: int = 50
-    word_max: int = 500
+    word_min: int = DEFAULT_WORD_MIN
+    word_max: int = DEFAULT_WORD_MAX
     variants: tuple[VariantSpec, ...] = _CORE_VARIANTS
     throttle_profile: str = "mobile-throttled"
     render_overhead: float = 0.0

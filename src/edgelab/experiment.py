@@ -26,19 +26,35 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .bench import PERCENTILE_POINTS, AuditReport, BenchReport, apply_reset, run_audit, run_load
+from .bench import PERCENTILE_POINTS, AuditReport, BenchReport, apply_reset, check_page, run_audit, run_load
 from .clock import SerialScheduler, SystemClock, VirtualClock
 from .config import ExperimentConfig
 from .content import generate_posts
 from .edge import EdgeWorker
 from .httpserve import VariantServer
-from .ssg import POST_PATH_PREFIX, build_site
+from .ssg import POST_PATH_PREFIX, SiteBuild, build_site
 
 
 def page_label(path: str) -> str:
     if path == "/":
         return "index"
     return path.removeprefix(POST_PATH_PREFIX).strip("/") or path
+
+
+def check_built(name: str, pages: Sequence[str], build: SiteBuild) -> None:
+    """Raise ValueError, naming ``name``, for the first of ``pages`` that is no page of ``build``.
+
+    A page path that ``bench.check_page`` rejects is named as such. Any
+    other missing page would answer 404: an audit would call the target
+    unreachable and a load run would time 404s, when the settings name
+    a page their own site lacks.
+    """
+    for page in pages:
+        check_page(name, page)
+        if page not in build.pages:
+            raise ValueError(
+                f"{name} {page!r} is not a page of the built site, which has {len(build.pages)} page(s)"
+            )
 
 
 def _round_ms(seconds: float) -> float:
@@ -195,6 +211,8 @@ def run_experiment(
 ) -> ExperimentResult:
     posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
     build = build_site(posts, 0, built_at=0.0 if deterministic else None)
+    check_built("audit.pages", cfg.audit.pages, build)
+    check_built("bench.target_path", (cfg.bench.target_path,), build)
     profile = cfg.effective_profile()
 
     audits: list[tuple[str, AuditReport]] = []

@@ -1,5 +1,7 @@
 """CLI commands and exit codes."""
 
+import argparse
+import functools
 import json
 import math
 import os
@@ -10,10 +12,14 @@ import sys
 import time
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from edgelab import cli, experiment
+from edgelab.bench import ResetPolicy
 from edgelab.cli import main
+from edgelab.config import ExperimentConfig, load
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -306,6 +312,163 @@ def test_audit_cold_flag(capsys):
     )
     assert rc == 0
     assert "cache: BYPASS BYPASS BYPASS" in capsys.readouterr().out
+
+
+def test_audit_without_a_page_audits_each_configured_page(capsys):
+    assert main(["audit", "--variant", "isr", "--deterministic", "--runs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "| isr index " in out and "| isr post-0 " in out
+    assert "cache: MISS HIT  (isr index)\ncache: MISS HIT  (isr post-0)\n" in out
+
+
+def _record_audits(monkeypatch) -> list:
+    """(page, runs, reset) of each ``run_audit`` call the CLI makes, which still runs."""
+    calls = []
+    real = cli.run_audit
+
+    def run_audit(target, page, profile, runs, reset, clock=None):
+        calls.append((page, runs, reset))
+        return real(target, page, profile, runs, reset, clock)
+
+    monkeypatch.setattr(cli, "run_audit", run_audit)
+    return calls
+
+
+def test_audit_reads_the_config_audit_section(tmp_path, capsys, monkeypatch):
+    calls = _record_audits(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"audit": {"runs": 3, "pages": ["/posts/post-1"], "reset": {"purge": False, "cold": False}}}))
+    assert main(["audit", "--config", str(cfg), "--variant", "isr", "--deterministic"]) == 0
+    assert calls == [("/posts/post-1", 3, ResetPolicy(purge=False, cold=False))]
+    out = capsys.readouterr().out
+    assert "| isr post-1 " in out and "cache: MISS HIT HIT  (isr post-1)" in out and "index" not in out
+
+
+def test_audit_resets_as_the_default_config_says(capsys, monkeypatch):
+    calls = _record_audits(monkeypatch)
+    assert main(["audit", "--variant", "isr", "--deterministic", "--page", "/posts/post-2"]) == 0
+    assert calls == [("/posts/post-2", 5, ResetPolicy(purge=True, cold=True))]
+
+
+def test_the_config_backed_flags_default_to_none():
+    # A flag's own default would override the config file's value on every run.
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = set()
+    for name, parser in subcommands.choices.items():
+        for action in parser._actions:
+            if action.dest in cli._OVERRIDES:
+                found.add(action.dest)
+                assert action.default is None, (name, action.option_strings)
+    assert found == set(cli._OVERRIDES)
+    for field in cli._OVERRIDES.values():
+        functools.reduce(getattr, field.split("."), ExperimentConfig())  # a field of the config
+
+
+def _record_settings(monkeypatch) -> dict:
+    """The seed, bench settings and audit settings each command hands its runners, which still run."""
+    seen = {}
+    real = {name: getattr(cli, name) for name in ("generate_posts", "run_load", "run_audit", "run_experiment")}
+
+    def generate_posts(seed, *args):
+        seen["seed"] = seed
+        return real["generate_posts"](seed, *args)
+
+    def run_load(target, bench, *args):
+        seen["bench"] = bench
+        return real["run_load"](target, bench, *args)
+
+    def run_audit(target, page, profile, runs, reset, clock=None):
+        seen["audit"] = SimpleNamespace(runs=runs, reset=reset)
+        return real["run_audit"](target, page, profile, runs, reset, clock)
+
+    def run_experiment(cfg, **kwargs):
+        seen.update(seed=cfg.seed, bench=cfg.bench, audit=cfg.audit)
+        return real["run_experiment"](cfg, **kwargs)
+
+    for fn in (generate_posts, run_load, run_audit, run_experiment):
+        monkeypatch.setattr(cli, fn.__name__, fn)
+    return seen
+
+
+@pytest.mark.parametrize("command, flag, field, value", [
+    *((command, ["--seed", "7"], "seed", 7) for command in ("bench", "audit", "experiment")),
+    *((command, ["--duration", "0.5"], "bench.duration", 0.5) for command in ("bench", "experiment")),
+    *((command, ["--connections", "3"], "bench.connections", 3) for command in ("bench", "experiment")),
+    ("bench", ["--path", "/posts/post-1"], "bench.target_path", "/posts/post-1"),
+    *((command, ["--runs", "3"], "audit.runs", 3) for command in ("audit", "experiment")),
+    ("audit", ["--no-purge"], "audit.reset.purge", False),
+    ("audit", ["--cold"], "audit.reset.cold", True),
+])
+def test_a_flag_overrides_the_config_field_it_names(tmp_path, capsys, monkeypatch, command, flag, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bench": {"duration": 1.0}, "audit": {"reset": {"cold": False}}}))
+    assert functools.reduce(getattr, field.split("."), load(cfg)) != value
+    seen = _record_settings(monkeypatch)
+    argv = {
+        "bench": ["bench", "--variant", "isr", "--deterministic"],
+        "audit": ["audit", "--variant", "isr", "--deterministic"],
+        "experiment": ["experiment", "--deterministic", "--out", str(tmp_path / "out")],
+    }[command]
+    assert main([*argv, "--config", str(cfg), *flag]) == 0
+    assert functools.reduce(getattr, field.split("."), SimpleNamespace(**seen)) == value
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ({"post_count": 0}, ["experiment", "--deterministic"], "audit.pages '/posts/post-0'"),
+    ({"post_count": 0}, ["experiment"], "audit.pages '/posts/post-0'"),
+    ({"post_count": 0}, ["audit", "--variant", "isr", "--deterministic"], "audit.pages '/posts/post-0'"),
+    ({"audit": {"pages": ["/", "/about"]}}, ["audit", "--variant", "static"], "audit.pages '/about'"),
+    ({}, ["audit", "--variant", "isr", "--deterministic", "--page", "/posts/post-999"], "page '/posts/post-999'"),
+    ({}, ["bench", "--variant", "ssr", "--deterministic", "--path", "/posts/post-999"], "bench.target_path '/posts/post-999'"),
+    ({"bench": {"target_path": "/about"}}, ["experiment", "--deterministic"], "bench.target_path '/about'"),
+])
+def test_a_page_the_built_site_lacks_exits_2(tmp_path, capsys, deadline, config, argv, named):
+    # The settings name a page their own site lacks: a config error, not an unreachable target.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "experiment" else []
+    with deadline(10.0):
+        assert main([*argv, "--config", str(cfg), *out]) == 2
+    err = capsys.readouterr().err
+    assert f"{named} is not a page of the built site" in err and "404" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_variant_name_that_would_split_a_report_cell_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variants": [
+        {"name": "a,b", "strategy": "STATIC"}, {"name": "x|y", "strategy": "SSR"}, {"name": "n\nl", "strategy": "ISR"},
+    ]}))
+    assert main(["experiment", "--deterministic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "$.variants[0].name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.wallclock
+def test_wallclock_experiment_serves_each_variant_and_closes_its_port(tmp_path, capsys, monkeypatch, deadline):
+    ports = []
+
+    class RecordedServer(experiment.VariantServer):
+        def start(self):
+            ports.append(self.port)
+            super().start()
+
+    monkeypatch.setattr(experiment, "VariantServer", RecordedServer)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variants": [{"name": "static", "strategy": "STATIC"}, {"name": "isr", "strategy": "ISR"}]}))
+    argv = ["experiment", "--config", str(cfg), "--duration", "0.3", "--connections", "2", "--runs", "2"]
+    with deadline(60.0):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["deterministic"] is False
+    assert [(b["variant"], b["error_count"]) for b in summary["bench"]] == [("static", 0), ("isr", 0)]
+    assert all(b["total_responses"] > 0 for b in summary["bench"])
+    isr = [a["cache_statuses"] for a in summary["audits"] if a["label"].startswith("isr ")]
+    assert isr == [["MISS", "HIT"], ["MISS", "HIT"]]
+    assert len(ports) == 2
+    for port in ports:
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
 
 def test_experiment_writes_reports(tmp_path, capsys):

@@ -234,6 +234,22 @@ def test_a_variant_needs_a_name():
         VariantSpec("", StrategyConfig(Strategy.ISR))
 
 
+# Each would split a report cell: a CSV field, a markdown cell or a row.
+SPLITTING_NAMES = ["a,b", 'say "hi"', "x|y", "n\nl", "tab\t", "nul\x00", "del\x7f", "nel\x85", "end\n"]
+
+
+@pytest.mark.parametrize("name", SPLITTING_NAMES)
+def test_a_variant_name_that_would_split_a_report_cell_is_rejected(name):
+    variants = [{"name": "ok", "strategy": "STATIC"}, {"name": name, "strategy": "ISR"}]
+    with pytest.raises(ConfigError, match=r"at \$\.variants\[1\]\.name: "):
+        from_dict({"variants": variants})
+
+
+@pytest.mark.parametrize("name", ["isr-60s", "ISR ttl=1", "a/b", "ünï", "(x)"])
+def test_a_variant_name_that_keeps_its_cell_is_accepted(name):
+    assert from_dict({"variants": [{"name": name, "strategy": "ISR"}]}).variants[0].name == name
+
+
 def test_effective_profile_applies_render_overhead():
     cfg = replace(preset("core-three"), render_overhead=0.2)
     prof = cfg.effective_profile()

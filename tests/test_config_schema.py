@@ -204,3 +204,18 @@ def test_each_python_only_rule_is_one_the_schema_allows():
         assert VALIDATOR.is_valid(doc) and breaks_a_python_only_rule(doc), doc
         with pytest.raises(ConfigError):
             parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name, valid", [
+    *((name, False) for name in ["a,b", 'say "hi"', "x|y", "n\nl", "end\n", "\t", "\x00", "\x1f", "\x7f", "\x85", "\x9f"]),
+    *((name, True) for name in ["a", "a b", "ünï", "a/b", "\xa0", "isr-60s"]),
+])
+def test_schema_and_parser_agree_on_variant_names(name, valid):
+    doc = {"variants": [{"name": name, "strategy": "ISR"}]}
+    assert VALIDATOR.is_valid(doc) == valid
+    try:
+        parse(json.dumps(doc))
+        parser_accepts = True
+    except ConfigError:
+        parser_accepts = False
+    assert parser_accepts == valid
