@@ -220,7 +220,7 @@ class ResetPolicy:
     """What to reset before run 1 of an audit (and between phases)."""
 
     purge: bool = True
-    cold: bool = False
+    cold: bool = True
 
 
 @dataclass(frozen=True)
@@ -612,8 +612,9 @@ def run_audit(
     runs: int = 5,
     reset: ResetPolicy = ResetPolicy(),
     clock: Clock | None = None,
+    background: SerialScheduler | None = None,
 ) -> AuditReport:
-    """Sequential k-run audit of one page with a run-1 reset policy."""
+    """Sequential k-run audit of one page with a run-1 reset policy, draining ``background`` after each fetch."""
     if runs < 2:
         raise ValueError("audits need at least 2 runs to report a rest-of-runs median")
     check_page("page", page)
@@ -631,6 +632,8 @@ def run_audit(
             server_times.append(resp.server_time)
             fcps.append(fcp_proxy(resp, profile))
             statuses.append(resp.cache_status.value)
+            if background is not None and background.pending:
+                background.drain()
 
     def metric(values: Sequence[float]) -> AuditMetric:
         # statistics.median and statistics.fmean, as computed on Python 3.11.

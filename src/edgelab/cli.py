@@ -28,16 +28,16 @@ from typing import Sequence
 
 from . import __version__
 from .bench import TargetUnreachableError, run_audit, run_load
-from .clock import SerialScheduler, VirtualClock
 from .config import ConfigError, ExperimentConfig, load as load_config, preset
 from .content import generate_posts
-from .edge import EdgeWorker
 from .experiment import (
     audit_entry,
     audit_table,
     bench_entry,
     bench_table,
     check_built,
+    deployed,
+    make_site,
     page_label,
     run_experiment,
     tables_from_summary,
@@ -139,21 +139,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     last_port = cfg.base_port + len(cfg.variants) - 1 + args.content_api
     if last_port > 65535:
         raise ConfigError(f"ports {cfg.base_port}-{last_port} are not all within 1-65535")
-    posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
-    build = build_site(posts)
+    posts, build = make_site(cfg)
 
     servers: list[tuple[str, str, VariantServer | ContentServer]] = []
     try:
         try:
-            port = cfg.base_port
-            for variant in cfg.variants:
-                worker = EdgeWorker(variant.config)
-                worker.deploy(build, posts)
+            for port, variant in enumerate(cfg.variants, cfg.base_port):
+                worker, _, _ = deployed(variant, posts, build)
                 server = VariantServer(worker, args.host, port)
                 servers.append((variant.name, variant.config.strategy.value, server))
-                port += 1
             if args.content_api:
-                servers.append(("content", "content-api", ContentServer(posts, host=args.host, port=port)))
+                servers.append(("content", "content-api", ContentServer(posts, host=args.host, port=last_port)))
         except OSError as exc:
             if exc.errno in (errno.EADDRINUSE, errno.EACCES):
                 print(f"error: cannot bind: {exc}", file=sys.stderr)
@@ -186,14 +182,9 @@ def _target(cfg: ExperimentConfig, args: argparse.Namespace, name: str, pages: S
             raise ConfigError("deterministic runs need an in-process --variant, not a --url")
         return args.url, None, None, args.url
     variant = _pick_variant(cfg, args.variant)
-    scheduler = SerialScheduler() if args.deterministic else None
-    clock = VirtualClock() if args.deterministic else None
-    posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
-    build = build_site(posts)
+    posts, build = make_site(cfg, args.deterministic)
     check_built(name, pages, build)
-    worker = EdgeWorker(variant.config, scheduler)
-    worker.deploy(build, posts)
-    return worker, clock, scheduler, variant.name
+    return *deployed(variant, posts, build, args.deterministic), variant.name
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -214,10 +205,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     name, pages = ("audit.pages", cfg.audit.pages) if args.page is None else ("page", (args.page,))
-    target, clock, _, label = _target(cfg, args, name, pages)
+    target, clock, scheduler, label = _target(cfg, args, name, pages)
     entries = []
     for page in pages:
-        report = run_audit(target, page, cfg.effective_profile(), cfg.audit.runs, cfg.audit.reset, clock)
+        report = run_audit(target, page, cfg.effective_profile(), cfg.audit.runs, cfg.audit.reset, clock, scheduler)
         entries.append(audit_entry(f"{label} {page_label(page)}", report))
     print(audit_table(entries).to_markdown(), end="")
     for entry in entries:

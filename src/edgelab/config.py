@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from .bench import BenchConfig, ResetPolicy, check_page
-from .content import DEFAULT_WORD_MAX, DEFAULT_WORD_MIN
+from .content import DEFAULT_WORD_MAX, DEFAULT_WORD_MIN, MAX_SEED
 from .edge import Strategy, StrategyConfig
 from .netmodel import PROFILES, ThrottleProfile
 
@@ -48,7 +48,7 @@ class VariantSpec:
 class AuditSettings:
     runs: int = 5
     pages: tuple[str, ...] = ("/", "/posts/post-0")
-    reset: ResetPolicy = ResetPolicy(purge=True, cold=True)
+    reset: ResetPolicy = ResetPolicy()
 
     def __post_init__(self) -> None:
         if self.runs < 2:
@@ -86,8 +86,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # Each message starts with the field it is about: from_dict names its JSON path by it.
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, not {self.seed}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be within 0-{MAX_SEED}, not {self.seed}")
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError(f"variants must have unique names: {names}")

@@ -55,6 +55,7 @@ _STEPS = _GAMMA * (((_LANES * _X - _LANES - 1) * _X_LANES + 1) // (_X - 1) ** 2)
 _LOW64 = _ONES * _MASK64
 _LANE = struct.Struct("<Q8x")  # the low 64 bits of one 128-bit lane
 
+MAX_SEED = _MASK64  # a seed is read mod 2**64, so a larger one repeats a smaller one's posts
 DEFAULT_WORD_MIN = 50
 DEFAULT_WORD_MAX = 500
 

@@ -21,15 +21,16 @@ variants are served over loopback HTTP and measured on the wall clock.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .bench import PERCENTILE_POINTS, AuditReport, BenchReport, apply_reset, check_page, run_audit, run_load
-from .clock import SerialScheduler, SystemClock, VirtualClock
-from .config import ExperimentConfig
-from .content import generate_posts
+from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
+from .config import ExperimentConfig, VariantSpec
+from .content import Post, generate_posts
 from .edge import EdgeWorker
 from .httpserve import VariantServer
 from .ssg import POST_PATH_PREFIX, SiteBuild, build_site
@@ -204,47 +205,48 @@ def write_reports(summary: dict, out_dir: Path | str) -> dict[str, Path]:
     return files
 
 
+def make_site(cfg: ExperimentConfig, deterministic: bool = False) -> tuple[list[Post], SiteBuild]:
+    """The config's posts and their site build; a deterministic build is stamped at time 0."""
+    posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
+    return posts, build_site(posts, built_at=0.0 if deterministic else None)
+
+
+def deployed(
+    variant: VariantSpec, posts: list[Post], build: SiteBuild, deterministic: bool = False
+) -> tuple[EdgeWorker, Clock, SerialScheduler | None]:
+    """``variant``'s worker with ``build`` deployed, and the clock and scheduler that run it.
+
+    Deterministic: a VirtualClock, and a SerialScheduler the runners drain. Else wall time and the worker's threads.
+    """
+    scheduler = SerialScheduler() if deterministic else None
+    worker = EdgeWorker(variant.config, scheduler)
+    worker.deploy(build, posts)
+    return worker, VirtualClock() if deterministic else SYSTEM_CLOCK, scheduler
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     deterministic: bool = False,
     out_dir: Path | str | None = None,
 ) -> ExperimentResult:
-    posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
-    build = build_site(posts, 0, built_at=0.0 if deterministic else None)
+    posts, build = make_site(cfg, deterministic)
     check_built("audit.pages", cfg.audit.pages, build)
     check_built("bench.target_path", (cfg.bench.target_path,), build)
     profile = cfg.effective_profile()
 
     audits: list[tuple[str, AuditReport]] = []
     benches: list[tuple[str, BenchReport]] = []
-    servers: list[VariantServer] = []
-    try:
-        for variant in cfg.variants:
-            scheduler = SerialScheduler() if deterministic else None
-            worker = EdgeWorker(variant.config, scheduler)
-            worker.deploy(build, posts)
-            if deterministic:
-                target: object = worker
-                clock = VirtualClock()
-            else:
-                server = VariantServer(worker)
-                server.start()
-                servers.append(server)
-                target = server.url
-                clock = SystemClock()
-
+    for variant in cfg.variants:
+        worker, clock, scheduler = deployed(variant, posts, build, deterministic)
+        # A wall-clock variant is served over loopback only for its own audit and load phases.
+        with nullcontext() if deterministic else VariantServer(worker) as server:
+            target = worker if server is None else server.url
             for page in cfg.audit.pages:
-                rep = run_audit(
-                    target, page, profile,
-                    runs=cfg.audit.runs, reset=cfg.audit.reset, clock=clock,
-                )
+                rep = run_audit(target, page, profile, cfg.audit.runs, cfg.audit.reset, clock, scheduler)
                 audits.append((f"{variant.name} {page_label(page)}", rep))
 
             apply_reset(target, cfg.audit.reset)
             benches.append((variant.name, run_load(target, cfg.bench, clock, scheduler)))
-    finally:
-        for server in servers:
-            server.stop()
 
     summary = build_summary(cfg, deterministic, audits, benches)
     files: dict[str, Path] = {}

@@ -828,8 +828,18 @@ def test_audit_reset_applies_before_run_one_only(posts10, build10):
     w.deploy(build10, posts10)
     clock = VirtualClock()
     run_audit(w, "/", runs=5, reset=ResetPolicy(purge=True), clock=clock)
-    second = run_audit(w, "/", runs=5, reset=ResetPolicy(purge=False), clock=clock)
+    second = run_audit(w, "/", runs=5, reset=ResetPolicy(purge=False, cold=False), clock=clock)
     assert second.cache_statuses == ("HIT",) * 5
+
+
+def test_simulated_audit_runs_queued_revalidations(worker_factory):
+    # Run 5 finds the entry past its 3 ms ttl and queues a revalidation;
+    # draining it after that fetch means run 6 is a HIT again.
+    sched = SerialScheduler()
+    w = worker_factory(Strategy.SWR, sched, ttl=0.003)
+    rep = run_audit(w, "/", runs=8, clock=VirtualClock(), background=sched)
+    assert rep.cache_statuses == ("MISS", "HIT", "HIT", "HIT", "STALE", "HIT", "HIT", "HIT")
+    assert sched.pending == 0
 
 
 def test_audit_fcp_exceeds_server_time(posts10, build10):
@@ -852,7 +862,7 @@ def test_audit_needs_at_least_two_runs(posts10, build10):
 
 def test_audit_of_bare_handler_without_reset():
     handler = constant_handler(0.002)
-    rep = run_audit(handler, "/", runs=3, reset=ResetPolicy(purge=False), clock=VirtualClock())
+    rep = run_audit(handler, "/", runs=3, reset=ResetPolicy(purge=False, cold=False), clock=VirtualClock())
     assert rep.server_times == (0.002,) * 3
 
 

@@ -62,6 +62,13 @@ def test_build_new_seed_rebuilds_everything(tmp_path, capsys):
     assert "changed since deploy 1: 101 page(s)" in out
 
 
+def test_a_seed_beyond_64_bits_exits_2(tmp_path, capsys):
+    # Content reads a seed mod 2**64, so 2**64 would write seed 0's pages under another config digest.
+    assert main(["build", "--out", str(tmp_path / "site"), "--seed", str(2**64)]) == 2
+    assert "seed must be within 0-18446744073709551615" in capsys.readouterr().err
+    assert not (tmp_path / "site").exists()
+
+
 def test_build_zero_posts_exports_single_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", post_count=0)
     assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "site")]) == 0
@@ -321,14 +328,27 @@ def test_audit_without_a_page_audits_each_configured_page(capsys):
     assert "cache: MISS HIT  (isr index)\ncache: MISS HIT  (isr post-0)\n" in out
 
 
+def test_simulated_audits_run_queued_revalidations(tmp_path, capsys):
+    # The SWR entry goes stale at run 5; its revalidation runs before run 6, in either command.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variants": [{"name": "swr", "strategy": "SWR", "ttl": 0.003}],
+                               "audit": {"runs": 8, "pages": ["/"]}, "bench": {"duration": 0.5}}))
+    statuses = ["MISS", "HIT", "HIT", "HIT", "STALE", "HIT", "HIT", "HIT"]
+    assert main(["audit", "--variant", "swr", "--deterministic", "--config", str(cfg)]) == 0
+    assert f"cache: {' '.join(statuses)}  (swr index)" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["experiment", "--deterministic", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["audits"][0]["cache_statuses"] == statuses
+
+
 def _record_audits(monkeypatch) -> list:
     """(page, runs, reset) of each ``run_audit`` call the CLI makes, which still runs."""
     calls = []
     real = cli.run_audit
 
-    def run_audit(target, page, profile, runs, reset, clock=None):
+    def run_audit(target, page, profile, runs, reset, clock=None, background=None):
         calls.append((page, runs, reset))
-        return real(target, page, profile, runs, reset, clock)
+        return real(target, page, profile, runs, reset, clock, background)
 
     monkeypatch.setattr(cli, "run_audit", run_audit)
     return calls
@@ -367,25 +387,25 @@ def test_the_config_backed_flags_default_to_none():
 def _record_settings(monkeypatch) -> dict:
     """The seed, bench settings and audit settings each command hands its runners, which still run."""
     seen = {}
-    real = {name: getattr(cli, name) for name in ("generate_posts", "run_load", "run_audit", "run_experiment")}
+    real = {name: getattr(cli, name) for name in ("make_site", "run_load", "run_audit", "run_experiment")}
 
-    def generate_posts(seed, *args):
-        seen["seed"] = seed
-        return real["generate_posts"](seed, *args)
+    def make_site(cfg, *args):
+        seen["seed"] = cfg.seed
+        return real["make_site"](cfg, *args)
 
     def run_load(target, bench, *args):
         seen["bench"] = bench
         return real["run_load"](target, bench, *args)
 
-    def run_audit(target, page, profile, runs, reset, clock=None):
+    def run_audit(target, page, profile, runs, reset, clock=None, background=None):
         seen["audit"] = SimpleNamespace(runs=runs, reset=reset)
-        return real["run_audit"](target, page, profile, runs, reset, clock)
+        return real["run_audit"](target, page, profile, runs, reset, clock, background)
 
     def run_experiment(cfg, **kwargs):
         seen.update(seed=cfg.seed, bench=cfg.bench, audit=cfg.audit)
         return real["run_experiment"](cfg, **kwargs)
 
-    for fn in (generate_posts, run_load, run_audit, run_experiment):
+    for fn in (make_site, run_load, run_audit, run_experiment):
         monkeypatch.setattr(cli, fn.__name__, fn)
     return seen
 
@@ -449,9 +469,13 @@ def test_wallclock_experiment_serves_each_variant_and_closes_its_port(tmp_path, 
     ports = []
 
     class RecordedServer(experiment.VariantServer):
-        def start(self):
+        def __init__(self, *args, **kwargs):
+            # Each variant's server is closed before the next one binds: at most one is open at a time.
+            for port in ports:
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(("127.0.0.1", port), timeout=5).close()
+            super().__init__(*args, **kwargs)
             ports.append(self.port)
-            super().start()
 
     monkeypatch.setattr(experiment, "VariantServer", RecordedServer)
     cfg = tmp_path / "cfg.json"

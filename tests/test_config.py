@@ -1,5 +1,6 @@
 """Config parsing, schema validation, round-trip stability."""
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from edgelab.bench import ResetPolicy, run_audit
 from edgelab.config import AuditSettings, ConfigError, ExperimentConfig, VariantSpec, from_dict, load, parse, preset
 from edgelab.edge import Strategy, StrategyConfig
 
@@ -61,8 +63,7 @@ def test_example_config_file_parses():
     assert cfg.bench.duration == 30.0
     assert cfg == preset("all-five")
     assert cfg.to_dict() == json.loads(example.read_text())
-    # A partial nested object keeps the enclosing default's other fields:
-    # the audit default resets cold, unlike a bare ResetPolicy.
+    # A partial nested object keeps the enclosing default's other fields.
     partial = from_dict({"audit": {"reset": {"purge": False}}})
     assert partial.audit.reset.purge is False
     assert partial.audit.reset.cold is True
@@ -194,6 +195,7 @@ def test_schema_errors_name_the_field():
     ({"seed": -1}, "$.seed"),
     ({"base_port": 65536}, "$.base_port"),
     ({"throttle_profile": "satellite"}, "$.throttle_profile"),
+    ({"seed": 2**64}, "$.seed"),
 ])
 def test_every_rejection_names_the_json_path(data, path):
     with pytest.raises(ConfigError) as exc:
@@ -222,11 +224,13 @@ def test_json_types_follow_json_schema():
     ({"seed": -1}, "seed"),
     ({"base_port": 0}, "base_port"),
     ({"base_port": 65536}, "base_port"),
+    ({"seed": 2**64}, "seed"),
 ])
 def test_range_rules_hold_without_a_file(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
     assert ExperimentConfig(seed=0, base_port=65535).base_port == 65535
+    assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_a_variant_needs_a_name():
@@ -262,3 +266,10 @@ def test_emitted_json_is_sorted_and_newline_terminated():
     assert text.endswith("\n")
     data = json.loads(text)
     assert list(data) == sorted(data)
+
+
+def test_run_audit_defaults_are_the_config_audit_defaults():
+    # A library audit and a configured one reset and repeat the same way unless told otherwise.
+    params = inspect.signature(run_audit).parameters
+    assert params["runs"].default == AuditSettings().runs
+    assert params["reset"].default == AuditSettings().reset == ResetPolicy()

@@ -53,7 +53,7 @@ def mostly(common: st.SearchStrategy, rare: st.SearchStrategy) -> st.SearchStrat
 NOT_JSON_NUMBERS = st.sampled_from([True, False, None, "1", [1], {"n": 1}])
 INTEGERS = mostly(
     st.one_of(st.integers(min_value=0, max_value=100),
-              st.sampled_from([-1, 0, 1, 2, 65535, 65536, 2**63, 0.0, 1.0, 2.0, 3.0, 70000.0])),
+              st.sampled_from([-1, 0, 1, 2, 65535, 65536, 2**63, 2**64 - 1, 2**64, 0.0, 1.0, 2.0, 3.0, 70000.0])),
     st.one_of(st.sampled_from([0.5, 2.5, -1.5]), NOT_JSON_NUMBERS),
 )
 NUMBERS = mostly(
