@@ -16,14 +16,31 @@ seeded with ``output_i`` of the site seed, so a single post can be
 fetched without generating its predecessors.
 
 ``SplitMix64.next_int`` and ``below`` are the reference implementation,
-one draw at a time. ``below_many`` draws a post's words in packed
-lanes instead: no draw depends on the one before it, so the states of
-up to ``_LANES`` draws sit in 128-bit lanes of one Python int, each
-lane holding one 64-bit state. A 64x64-bit product fits in its lane
-with no carry into the next, so the finalizer runs as a fixed sequence
-of whole-int shifts, xors and multiplies, masking every lane to 64 bits
-after each shift and multiply. The lanes are then read back as
-little-endian words, whatever the host byte order, and reduced ``% n``.
+one draw at a time. ``_blocks`` computes many draws at once in packed
+lanes: no draw depends on the one before it, so the states of up to
+``_LANES`` draws sit in 128-bit lanes of one Python int, each lane
+holding one 64-bit state. A 64x64-bit product fits in its lane with no
+carry into the next, so the finalizer runs as a fixed sequence of
+whole-int shifts, xors and multiplies, masking every lane to 64 bits
+after each shift and multiply. ``below_many`` reads the lanes back as
+little-endian words, whatever the host byte order, and reduces them
+``% n``.
+
+``make_post`` takes a whole post from its stream in one block: draw 0 is
+the title length kt, draws 1..kt the title words, draw kt + 1 the word
+count w and draws kt + 2 .. kt + 1 + w the body words. The two sizing
+draws are mixed alone first; then all kt + 2 + w draws are mixed as one
+packed int (at most 509 lanes with the default bounds; a longer post
+spans blocks of ``_LANES``, as ``below_many`` does). ``_residues`` takes
+every lane mod the lexicon size n inside the packed int, for any
+1 <= n <= 256. It folds each lane x = hi * 2**32 + lo to
+y = hi * (2**32 mod n) + lo, which is x mod n plus a multiple of n and
+below 2**32 * n <= 2**40, then takes the exact remainder of Lemire,
+Kaser & Kurz (2019), ((y * c mod 2**64) * n) >> 64 with
+c = ceil(2**64 / n), exact because 64 >= 40 + 8. Every product stays
+below 2**104, inside its lane, and the remainder, below n <= 256, is one
+byte of its lane: that byte indexes the lexicon directly, with no
+per-word unpack or ``%``.
 
 The content API that serves these posts over HTTP is
 ``httpserve.ContentServer``; it serves whatever list it is given.
@@ -35,15 +52,16 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
-# Packed-lane constants for ``below_many``, each _LANES lanes of 128 bits:
-# lane j of _ONES holds 1, of _STEPS (j + 1) * GAMMA, of _LOW64 2**64 - 1.
+# Packed-lane constants for ``_blocks`` and ``_residues``, each _LANES lanes
+# of 128 bits: lane j of _ONES holds 1, of _STEPS (j + 1) * GAMMA, of _LOW64
+# 2**64 - 1 and of _LOW32 2**32 - 1.
 # With x = 2**128 they are the closed forms of sum(x**j) and
 # GAMMA * sum((j + 1) * x**j) over j < _LANES. A state plus (j + 1) * GAMMA
 # stays below 2**128, so it never carries into the next lane either.
@@ -53,9 +71,12 @@ _X_LANES = 1 << (128 * _LANES)
 _ONES = (_X_LANES - 1) // (_X - 1)
 _STEPS = _GAMMA * (((_LANES * _X - _LANES - 1) * _X_LANES + 1) // (_X - 1) ** 2)
 _LOW64 = _ONES * _MASK64
+_LOW32 = _ONES * 0xFFFFFFFF
 _LANE = struct.Struct("<Q8x")  # the low 64 bits of one 128-bit lane
 
-MAX_SEED = _MASK64  # a seed is read mod 2**64, so a larger one repeats a smaller one's posts
+# A seed is read mod 2**64, so one outside 0..MAX_SEED would repeat another's
+# posts: make_post and generate_posts reject it.
+MAX_SEED = _MASK64
 DEFAULT_WORD_MIN = 50
 DEFAULT_WORD_MAX = 500
 
@@ -99,21 +120,31 @@ class SplitMix64:
             raise ValueError("n must be positive")
         if k < 0:
             raise ValueError("k must be >= 0")
-        state = self._state
         out: list[int] = []
-        while k:
-            m = min(k, _LANES)
-            keep = (1 << (m << 7)) - 1
-            low = _LOW64 & keep
-            z = (state * (_ONES & keep) + (_STEPS & keep)) & low
-            z = ((z ^ (z >> 30)) & low) * _M1 & low
-            z = ((z ^ (z >> 27)) & low) * _M2 & low
-            z = (z ^ (z >> 31)) & low
+        for m, z in _blocks(self._state, k):
             out += [x % n for (x,) in _LANE.iter_unpack(z.to_bytes(m << 4, "little"))]
-            state = (state + m * _GAMMA) & _MASK64
-            k -= m
-        self._state = state
+        self._state = (self._state + k * _GAMMA) & _MASK64
         return out
+
+
+def _blocks(state: int, k: int) -> Iterator[tuple[int, int]]:
+    """The next ``k`` outputs after ``state`` as ``(m, z)``: ``m <= _LANES`` outputs packed in ``z``."""
+    while k:
+        m = min(k, _LANES)
+        keep = (1 << (m << 7)) - 1
+        z = (state * (_ONES & keep) + (_STEPS & keep)) & _LOW64
+        z = ((z ^ (z >> 30)) & _LOW64) * _M1 & _LOW64
+        z = ((z ^ (z >> 27)) & _LOW64) * _M2 & _LOW64
+        yield m, (z ^ (z >> 31)) & _LOW64
+        state = (state + m * _GAMMA) & _MASK64
+        k -= m
+
+
+def _residues(m: int, z: int, n: int) -> bytes:
+    """Each of the ``m`` 64-bit lanes of ``z`` mod ``n`` (1 <= n <= 256), one byte per lane."""
+    y = (z & _LOW32) + (z >> 32 & _LOW64) * ((1 << 32) % n)  # hi * (2**32 % n) + lo < 2**40
+    # Lemire's remainder ((y * c mod 2**64) * n) >> 64, c = ceil(2**64 / n), is byte 8 of the lane.
+    return ((y * -(-(1 << 64) // n) & _LOW64) * n).to_bytes(m << 4, "little")[8::16]
 
 
 def _stream_seed(seed: int, post_id: int) -> int:
@@ -135,6 +166,13 @@ class Post:
         return len(self.body.split())
 
 
+def _check(seed: int, word_min: int, word_max: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be within 0-{MAX_SEED}")
+    if not 1 <= word_min <= word_max:
+        raise ValueError("need 1 <= word_min <= word_max")
+
+
 def make_post(
     seed: int,
     post_id: int,
@@ -144,13 +182,16 @@ def make_post(
     """Generate post ``post_id`` for ``seed`` without touching other posts."""
     if post_id < 0:
         raise ValueError("post_id must be >= 0")
-    if not 1 <= word_min <= word_max:
-        raise ValueError("need 1 <= word_min <= word_max")
-    rng = SplitMix64(_stream_seed(seed, post_id))
-    word = _LEXICON.__getitem__
-    title = " ".join(map(word, rng.below_many(len(_LEXICON), 3 + rng.below(5)))).capitalize()
-    n_words = word_min + rng.below(word_max - word_min + 1)
-    body = " ".join(map(word, rng.below_many(len(_LEXICON), n_words)))
+    _check(seed, word_min, word_max)
+    s = _stream_seed(seed, post_id)
+    # Draw 0 is the title length kt, draws 1..kt the title words, draw kt + 1
+    # the word count and the rest the body words.
+    kt = 3 + _mix(s + _GAMMA) % 5
+    n_words = word_min + _mix(s + (kt + 2) * _GAMMA) % (word_max - word_min + 1)
+    n = len(_LEXICON)
+    words = b"".join([_residues(m, z, n) for m, z in _blocks(s, kt + 2 + n_words)])
+    title = " ".join([_LEXICON[i] for i in words[1 : kt + 1]]).capitalize()
+    body = " ".join([_LEXICON[i] for i in words[kt + 2 :]])
     return Post(id=post_id, slug=f"post-{post_id}", title=title, body=body)
 
 
@@ -163,8 +204,7 @@ def generate_posts(
     """All posts for a site, ordered by id 0..count-1."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if not 1 <= word_min <= word_max:
-        raise ValueError("need 1 <= word_min <= word_max")
+    _check(seed, word_min, word_max)
     return [make_post(seed, i, word_min, word_max) for i in range(count)]
 
 

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from edgelab.content import (
     _LANES,
+    _LEXICON,
+    MAX_SEED,
+    Post,
     SplitMix64,
+    _residues,
+    _stream_seed,
     content_digest,
     generate_posts,
     make_post,
@@ -64,6 +69,26 @@ def test_below_many_matches_below_across_lane_blocks(n, k):
         _assert_below_many_matches_below(seed, n, k)
 
 
+def _adversarial_lanes(n):
+    """64-bit values at the edges of the in-lane remainder for divisor ``n``."""
+    values = {0, MASK64, 2**32 - 1, 2**32, 2**40 - 1, 2**40}
+    for k in (1, 2, (2**32) // n, (2**32) // n + 1, MASK64 // n - 1, MASK64 // n):
+        values |= {k * n - 1, k * n, k * n + 1}
+    return sorted(v for v in values if 0 <= v <= MASK64)
+
+
+@pytest.mark.parametrize("n", range(1, 257))
+def test_in_lane_remainder_equals_x_mod_n_at_the_edges(n):
+    # The values fill every lane of a full block, so a lane the constants miss shows too.
+    values = _adversarial_lanes(n)
+    lanes = [values[j % len(values)] for j in range(_LANES)]
+    z = int.from_bytes(b"".join(v.to_bytes(16, "little") for v in lanes), "little")
+    assert list(_residues(_LANES, z, n)) == [v % n for v in lanes]
+    assert list(_residues(len(values), z & ((1 << (128 * len(values))) - 1), n)) == [
+        v % n for v in values
+    ]
+
+
 def test_below_many_rejects_a_negative_count():
     with pytest.raises(ValueError):
         SplitMix64(1).below_many(10, -1)
@@ -78,6 +103,58 @@ def test_post_generation_rejects_bad_word_bounds(word_min, word_max):
     for count in (0, 3):
         with pytest.raises(ValueError):
             generate_posts(42, count, word_min, word_max)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64), MAX_SEED + 1, 2**70])
+def test_post_generation_rejects_a_seed_outside_64_bits(seed):
+    # Read mod 2**64, seed -1 would repeat 2**64 - 1's posts and 2**64 seed 0's.
+    with pytest.raises(ValueError, match="seed"):
+        make_post(seed, 0)
+    for count in (0, 2):
+        with pytest.raises(ValueError, match="seed"):
+            generate_posts(seed, count)
+
+
+def reference_post(seed, post_id, word_min, word_max):
+    """``make_post`` from one ``below`` call per draw, in draw order."""
+    rng = SplitMix64(_stream_seed(seed, post_id))
+    n = len(_LEXICON)
+    title = " ".join(_LEXICON[rng.below(n)] for _ in range(3 + rng.below(5)))
+    n_words = word_min + rng.below(word_max - word_min + 1)
+    body = " ".join(_LEXICON[rng.below(n)] for _ in range(n_words))
+    return Post(id=post_id, slug=f"post-{post_id}", title=title.capitalize(), body=body)
+
+
+def _word_bounds(top):
+    return st.tuples(st.integers(1, top), st.integers(1, top)).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=MASK64),
+    post_id=st.integers(min_value=0, max_value=10**6),
+    # Up to 3000 words a post spans several lane blocks; up to 600 it may end
+    # just short of, at or just past the first block's end.
+    bounds=st.one_of(_word_bounds(30), _word_bounds(600), _word_bounds(3000)),
+)
+def test_make_post_equals_one_below_per_draw(seed, post_id, bounds):
+    word_min, word_max = bounds
+    assert make_post(seed, post_id, word_min, word_max) == reference_post(
+        seed, post_id, word_min, word_max
+    )
+
+
+@pytest.mark.parametrize(
+    "word_min, word_max", [(1, 1), (50, 500), (500, 520), (1015, 1030), (2990, 3000)]
+)
+def test_make_post_equals_one_below_per_draw_around_block_ends(word_min, word_max):
+    # kt + 2 + n_words draws: 500..520 words straddle one block end, 1015..1030 two.
+    assert 500 + 3 + 2 <= _LANES <= 520 + 7 + 2 and 1015 + 5 <= 2 * _LANES <= 1030 + 9
+    for seed in (0, MASK64, 0x0123456789ABCDEF):
+        for post_id in range(4):
+            assert make_post(seed, post_id, word_min, word_max) == reference_post(
+                seed, post_id, word_min, word_max
+            )
 
 
 def test_generated_content_is_pinned():
@@ -139,7 +216,7 @@ def test_word_counts_respect_configured_bounds(seed, bounds):
         assert lo <= p.word_count <= hi
 
 
-@given(st.integers(min_value=0, max_value=MASK64))
+@given(st.integers(min_value=0, max_value=MASK64 - 1))
 @settings(max_examples=25)
 def test_different_seeds_give_different_content(seed):
     assert content_digest(generate_posts(seed, 3)) != content_digest(
