@@ -13,10 +13,10 @@ Two protocols are implemented:
 
 Both accept a base URL (wall clock, real sockets), an in-process
 worker or a bare ``(path, clock) -> Response`` handler. A URL is reached
-through the worker's interface over one keep-alive connection per load
-connection and per audit: one ``sendall`` per request, the response read
-with ``recv`` and its head parsed by ``httpserve.parse_head``, the codec
-the server uses. With a VirtualClock, ``run_load`` becomes a
+through ``httpserve``'s load client over one keep-alive connection per
+load connection and per audit; every rule of the wire (framing,
+headers, admin paths) is written in ``httpserve`` alone. With a
+VirtualClock, ``run_load`` becomes a
 deterministic event-driven simulation: each connection gets its own
 forked clock and events are processed in timestamp order. Against an
 in-process worker, stretches of requests that change no state (STATIC
@@ -37,20 +37,17 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-import json
 import math
 import re
-import socket
 import threading
 import time
-import urllib.parse
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock, to_ns
-from .edge import CacheStatus, EdgeWorker, Response
-from .httpserve import parse_head, receive_head, request_page
+from .edge import EdgeWorker, Response
+from .httpserve import TargetUnreachableError, _HttpTarget, request_page
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy
 
 PERCENTILE_POINTS = (50.0, 75.0, 90.0, 97.5, 99.0, 99.9, 99.99, 100.0)
@@ -90,10 +87,6 @@ def check_page(name: str, page: str) -> None:
 
 class EmptyHistogramError(ValueError):
     """Percentiles are undefined before anything is recorded."""
-
-
-class TargetUnreachableError(RuntimeError):
-    """The benchmark target produced no successful response."""
 
 
 class LatencyHistogram:
@@ -241,129 +234,6 @@ class AuditReport:
 
 
 Target = Union[str, EdgeWorker, Callable[[str, Clock], Response]]
-
-# x-edge-cache values, bound once so the HTTP client looks a header up
-# without calling the enum.
-_CACHE_STATUSES = {status.value: status for status in CacheStatus}
-# A response's status line: HTTP/1.<minor> <3-digit status>[ <reason>].
-_STATUS_LINE = re.compile(r"HTTP/1\.([0-9]) ([0-9]{3})(?: |\Z)")
-# x-server-time-us: a non-negative decimal integer; 15 digits are 31 years.
-_MICROSECONDS = re.compile(r"[0-9]{1,15}")
-
-
-def _host_port(url: str) -> tuple[str, int]:
-    """Host and port of a variant's base URL: ``http://host:port``, ``host:port`` or ``[::1]:port``.
-
-    A variant is served at the root, so a base path is rejected rather
-    than silently dropped. An empty port means 80 (RFC 3986 section
-    3.2.3); port 0 names no server, so it is rejected.
-    """
-    split = urllib.parse.urlsplit(url if "//" in url else f"//{url}")
-    try:
-        port = split.port
-    except ValueError as exc:
-        raise ValueError(f"unsupported target url: {url}: {exc}") from exc
-    if split.scheme not in ("http", "") or not split.hostname or port == 0:
-        raise ValueError(f"unsupported target url: {url}")
-    if split.path not in ("", "/") or split.query or split.fragment:
-        raise ValueError(f"target url must not carry a path or query: {url}")
-    return split.hostname, 80 if port is None else port
-
-
-class _HttpTarget:
-    """A served variant behind the worker's interface, over one keep-alive connection.
-
-    The socket opens on the first request and is kept until ``close``, a
-    ``Connection: close`` or an HTTP/1.0 response. Responses are read with
-    ``recv`` into a buffer kept with the socket and parsed by
-    ``httpserve.parse_head``; a response must be framed by
-    ``content-length``. A request that fails on a reused connection (the
-    server may have closed it while idle) is retried once on a fresh one,
-    which RFC 9112 section 9.3.1 allows because GET and both admin POSTs
-    are idempotent in effect. On a fresh connection, a failed connect, a
-    reset or a close before the response means the target is unreachable;
-    a response that breaks HTTP/1.1 is reported as such. Server time comes
-    from the x-server-time-us response header so the client's own overhead
-    does not pollute the server-side metric.
-    """
-
-    def __init__(self, base_url: str):
-        self._address = host, port = _host_port(base_url)
-        self._head_tail = f" HTTP/1.1\r\nHost: {f'[{host}]' if ':' in host else host}:{port}\r\n"
-        self._sock: socket.socket | None = None
-        self._buf = b""
-
-    def close(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-            self._sock, self._buf = None, b""
-
-    def _request(self, method: str, path: str) -> tuple[int, dict[str, str], bytes]:
-        reused = self._sock is not None
-        try:
-            if not reused:
-                self._sock = socket.create_connection(self._address, timeout=30)
-                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock = self._sock
-            framing = "Content-Length: 0\r\n" if method == "POST" else ""
-            sock.sendall(f"{method} {path}{self._head_tail}{framing}\r\n".encode())
-            head, rest = receive_head(sock.recv, self._buf)
-            status_line, headers = parse_head(head)
-            if (status := _STATUS_LINE.match(status_line)) is None:
-                raise ValueError(f"not an HTTP/1.x response: {status_line[:64]!r}")
-            length = headers.get("content-length", "")
-            if "transfer-encoding" in headers or not (length.isascii() and length.isdigit()):
-                raise ValueError("response not framed by content-length")
-            n, chunks, received = int(length), [rest], len(rest)
-            while received < n:
-                if not (chunk := sock.recv(65536)):
-                    raise ValueError(f"response body cut short at {received} of {n} bytes")
-                chunks.append(chunk)
-                received += len(chunk)
-            rest = b"".join(chunks)
-            body, self._buf = rest[:n], rest[n:]
-            if status[1] == "0" or headers.get("connection", "").lower() == "close":
-                self.close()
-            return int(status[2]), headers, body
-        except (OSError, ValueError) as exc:
-            self.close()
-            if reused:
-                return self._request(method, path)
-            fault = "unreachable" if isinstance(exc, OSError) else "broke HTTP/1.1"
-            raise TargetUnreachableError(f"{self._address[0]}:{self._address[1]} {fault}: {exc}") from exc
-
-    def handle_request(self, path: str, clock: Clock) -> Response:
-        t0 = clock.now()
-        status, headers, body = self._request("GET", path)
-        server_us = headers.get("x-server-time-us")
-        if server_us is None:
-            server_time = (clock.now() - t0) / 1e9
-        elif _MICROSECONDS.fullmatch(server_us):
-            server_time = int(server_us) / 1e6
-        else:
-            raise TargetUnreachableError(f"target answered {path} with a bad x-server-time-us: {server_us!r}")
-        cache_header = headers.get("x-edge-cache", "BYPASS")
-        cache_status = _CACHE_STATUSES.get(cache_header)
-        if cache_status is None:
-            raise TargetUnreachableError(f"target answered {path} with an unknown x-edge-cache: {cache_header!r}")
-        return Response(status, body, server_time, cache_status)
-
-    def purge_cache(self) -> int:
-        status, _, body = self._request("POST", "/__admin/purge")
-        if status != 200:
-            raise TargetUnreachableError(f"purge failed with status {status}")
-        try:
-            removed = json.loads(body)["removed"]
-        except (ValueError, KeyError, TypeError):
-            removed = None
-        if type(removed) is not int:
-            raise TargetUnreachableError(f"/__admin/purge answered without an integer 'removed': {body[:64]!r}")
-        return removed
-
-    def cold_worker(self) -> None:
-        status, _, _ = self._request("POST", "/__admin/cold")
-        if status != 200:
-            raise TargetUnreachableError(f"cold reset failed with status {status}")
 
 
 def _open(target: Target):

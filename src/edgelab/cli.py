@@ -139,17 +139,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     last_port = cfg.base_port + len(cfg.variants) - 1 + args.content_api
     if last_port > 65535:
         raise ConfigError(f"ports {cfg.base_port}-{last_port} are not all within 1-65535")
-    posts, build = make_site(cfg)
+    build = make_site(cfg)
 
     servers: list[tuple[str, str, VariantServer | ContentServer]] = []
     try:
         try:
             for port, variant in enumerate(cfg.variants, cfg.base_port):
-                worker, _, _ = deployed(variant, posts, build)
+                worker, _, _ = deployed(variant, build)
                 server = VariantServer(worker, args.host, port)
                 servers.append((variant.name, variant.config.strategy.value, server))
             if args.content_api:
-                servers.append(("content", "content-api", ContentServer(posts, host=args.host, port=last_port)))
+                servers.append(("content", "content-api", ContentServer(build.posts, host=args.host, port=last_port)))
         except OSError as exc:
             if exc.errno in (errno.EADDRINUSE, errno.EACCES):
                 print(f"error: cannot bind: {exc}", file=sys.stderr)
@@ -182,9 +182,9 @@ def _target(cfg: ExperimentConfig, args: argparse.Namespace, name: str, pages: S
             raise ConfigError("deterministic runs need an in-process --variant, not a --url")
         return args.url, None, None, args.url
     variant = _pick_variant(cfg, args.variant)
-    posts, build = make_site(cfg, args.deterministic)
+    build = make_site(cfg, args.deterministic)
     check_built(name, pages, build)
-    return *deployed(variant, posts, build, args.deterministic), variant.name
+    return *deployed(variant, build, args.deterministic), variant.name
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -22,25 +22,22 @@ lanes: no draw depends on the one before it, so the states of up to
 holding one 64-bit state. A 64x64-bit product fits in its lane with no
 carry into the next, so the finalizer runs as a fixed sequence of
 whole-int shifts, xors and multiplies, masking every lane to 64 bits
-after each shift and multiply. ``below_many`` reads the lanes back as
-little-endian words, whatever the host byte order, and reduces them
-``% n``.
+after each shift and multiply.
 
 ``make_post`` takes a whole post from its stream in one block: draw 0 is
 the title length kt, draws 1..kt the title words, draw kt + 1 the word
 count w and draws kt + 2 .. kt + 1 + w the body words. The two sizing
 draws are mixed alone first; then all kt + 2 + w draws are mixed as one
 packed int (at most 509 lanes with the default bounds; a longer post
-spans blocks of ``_LANES``, as ``below_many`` does). ``_residues`` takes
-every lane mod the lexicon size n inside the packed int, for any
-1 <= n <= 256. It folds each lane x = hi * 2**32 + lo to
-y = hi * (2**32 mod n) + lo, which is x mod n plus a multiple of n and
-below 2**32 * n <= 2**40, then takes the exact remainder of Lemire,
-Kaser & Kurz (2019), ((y * c mod 2**64) * n) >> 64 with
-c = ceil(2**64 / n), exact because 64 >= 40 + 8. Every product stays
-below 2**104, inside its lane, and the remainder, below n <= 256, is one
-byte of its lane: that byte indexes the lexicon directly, with no
-per-word unpack or ``%``.
+spans blocks of ``_LANES``). ``_residues`` takes every lane mod the
+lexicon size n inside the packed int, for any 1 <= n <= 256. It folds
+each lane x = hi * 2**32 + lo to y = hi * (2**32 mod n) + lo, which is
+x mod n plus a multiple of n and below 2**32 * n <= 2**40, then takes
+the exact remainder of Lemire, Kaser & Kurz (2019),
+((y * c mod 2**64) * n) >> 64 with c = ceil(2**64 / n), exact because
+64 >= 40 + 8. Every product stays below 2**104, inside its lane, and
+the remainder, below n <= 256, is one byte of its lane: that byte
+indexes the lexicon directly, with no per-word unpack or ``%``.
 
 The content API that serves these posts over HTTP is
 ``httpserve.ContentServer``; it serves whatever list it is given.
@@ -50,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -72,7 +68,6 @@ _ONES = (_X_LANES - 1) // (_X - 1)
 _STEPS = _GAMMA * (((_LANES * _X - _LANES - 1) * _X_LANES + 1) // (_X - 1) ** 2)
 _LOW64 = _ONES * _MASK64
 _LOW32 = _ONES * 0xFFFFFFFF
-_LANE = struct.Struct("<Q8x")  # the low 64 bits of one 128-bit lane
 
 # A seed is read mod 2**64, so one outside 0..MAX_SEED would repeat another's
 # posts: make_post and generate_posts reject it.
@@ -113,18 +108,6 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("n must be positive")
         return self.next_int() % n
-
-    def below_many(self, n: int, k: int) -> list[int]:
-        """``k`` draws in [0, n): the same as ``k`` calls of ``below(n)``, in packed lanes."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        out: list[int] = []
-        for m, z in _blocks(self._state, k):
-            out += [x % n for (x,) in _LANE.iter_unpack(z.to_bytes(m << 4, "little"))]
-        self._state = (self._state + k * _GAMMA) & _MASK64
-        return out
 
 
 def _blocks(state: int, k: int) -> Iterator[tuple[int, int]]:

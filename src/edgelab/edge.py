@@ -132,10 +132,6 @@ class Deployment:
     by_slug: Mapping[str, Post]
     answers: dict[str, bytes]  # the body of the last SSR 200 per path, which ``steady`` answers with
 
-    @classmethod
-    def create(cls, build: SiteBuild, posts: Sequence[Post]) -> "Deployment":
-        return cls(build=build, posts=tuple(posts), by_slug={p.slug: p for p in posts}, answers={})
-
 
 class EdgeWorker:
     """One simulated worker instance serving a single variant.
@@ -198,7 +194,7 @@ class EdgeWorker:
         gap between the strategies. Under DPR, every entry cached for
         earlier deploys becomes unreachable at the swap.
         """
-        dep = Deployment.create(build, posts)
+        dep = Deployment(build=build, posts=tuple(posts), by_slug={p.slug: p for p in posts}, answers={})
         with self._lock:
             current = self._deployment
             if current is not None and build.deploy_id <= current.build.deploy_id:

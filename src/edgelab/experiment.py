@@ -30,7 +30,7 @@ from . import __version__
 from .bench import PERCENTILE_POINTS, AuditReport, BenchReport, apply_reset, check_page, run_audit, run_load
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
 from .config import ExperimentConfig, VariantSpec
-from .content import Post, generate_posts
+from .content import generate_posts
 from .edge import EdgeWorker
 from .httpserve import VariantServer
 from .ssg import POST_PATH_PREFIX, SiteBuild, build_site
@@ -205,22 +205,22 @@ def write_reports(summary: dict, out_dir: Path | str) -> dict[str, Path]:
     return files
 
 
-def make_site(cfg: ExperimentConfig, deterministic: bool = False) -> tuple[list[Post], SiteBuild]:
-    """The config's posts and their site build; a deterministic build is stamped at time 0."""
+def make_site(cfg: ExperimentConfig, deterministic: bool = False) -> SiteBuild:
+    """The site build of the config's posts, which it keeps; a deterministic build is stamped at time 0."""
     posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
-    return posts, build_site(posts, built_at=0.0 if deterministic else None)
+    return build_site(posts, built_at=0.0 if deterministic else None)
 
 
 def deployed(
-    variant: VariantSpec, posts: list[Post], build: SiteBuild, deterministic: bool = False
+    variant: VariantSpec, build: SiteBuild, deterministic: bool = False
 ) -> tuple[EdgeWorker, Clock, SerialScheduler | None]:
-    """``variant``'s worker with ``build`` deployed, and the clock and scheduler that run it.
+    """``variant``'s worker with ``build`` deployed, its posts the origin, and the clock and scheduler that run it.
 
     Deterministic: a VirtualClock, and a SerialScheduler the runners drain. Else wall time and the worker's threads.
     """
     scheduler = SerialScheduler() if deterministic else None
     worker = EdgeWorker(variant.config, scheduler)
-    worker.deploy(build, posts)
+    worker.deploy(build, build.posts)
     return worker, VirtualClock() if deterministic else SYSTEM_CLOCK, scheduler
 
 
@@ -229,7 +229,7 @@ def run_experiment(
     deterministic: bool = False,
     out_dir: Path | str | None = None,
 ) -> ExperimentResult:
-    posts, build = make_site(cfg, deterministic)
+    build = make_site(cfg, deterministic)
     check_built("audit.pages", cfg.audit.pages, build)
     check_built("bench.target_path", (cfg.bench.target_path,), build)
     profile = cfg.effective_profile()
@@ -237,7 +237,7 @@ def run_experiment(
     audits: list[tuple[str, AuditReport]] = []
     benches: list[tuple[str, BenchReport]] = []
     for variant in cfg.variants:
-        worker, clock, scheduler = deployed(variant, posts, build, deterministic)
+        worker, clock, scheduler = deployed(variant, build, deterministic)
         # A wall-clock variant is served over loopback only for its own audit and load phases.
         with nullcontext() if deterministic else VariantServer(worker) as server:
             target = worker if server is None else server.url

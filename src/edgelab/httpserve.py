@@ -1,4 +1,4 @@
-"""HTTP/1.1 serving for workers and the standalone content API.
+"""HTTP/1.1 at both ends of a served variant: the servers and the load client.
 
 Each served variant exposes its worker on one port (an IPv6 literal
 host such as ``::1`` binds IPv6). A GET's page, which is also its cache
@@ -6,7 +6,7 @@ key, is the request path without its query string and without one
 trailing slash: ``/posts/post-1/?utm=x`` is ``/posts/post-1``, and ``/``
 stays ``/``. No page of the site depends on the query. The content API
 reads its paths by the same rule (``request_page``). Responses carry
-two diagnostic headers consumed by the benchmark client and external
+two diagnostic headers, read by the load client here and by external
 tools:
 
     x-edge-cache: HIT | MISS | STALE | BYPASS
@@ -25,22 +25,23 @@ single-post fetch waits the server's ``delay`` first, standing in for
 the server-side work behind a real content API.
 
 Framing: HTTP/1.0 and HTTP/1.1 only (HTTP/0.9 gets 400, other versions
-505), keep-alive unless the request says ``Connection: close`` or is
+505), keep-alive unless the message says ``Connection: close`` or is
 HTTP/1.0 without ``keep-alive``. Lines end in CRLF or a bare LF, and one
 empty line before a request line is ignored. A request line of 65,536
 bytes or more gets 414; a request head has at most 100 header lines of
-under 65,536 bytes each (431 beyond). A request body framed by
-``content-length`` is skipped unread (over 1 MiB gets 413);
-``Transfer-Encoding`` gets 501 and a close. Each response is one
-``sendall`` with a ``content-length``.
+under 65,536 bytes each (431 beyond). A body is framed by
+``content-length`` (ASCII digits); a request body is skipped unread
+(over 1 MiB gets 413), and ``Transfer-Encoding`` gets 501 and a close.
+Each response is one ``sendall`` with a ``content-length``.
 
-``parse_head`` is the head codec of both this server and the load client
-in ``bench``: bytes in, start line and headers out, no socket.
-``receive_head`` reads one head off a connection for both. Each
-connection is a loop: receive a head, ``respond`` to it (bytes in, bytes
-out, no socket), send ``100 Continue`` if asked, skip the body, and
-``sendall`` the reply. A refused request is a ``HeadError`` carrying its
-status, 501 included.
+The load client ``_HttpTarget``, which ``bench`` drives, shares the
+server's head codec (``receive_head``, ``parse_head``: bytes in, start
+line and headers out, no socket) and every other rule of the wire:
+``_framing``, ``_authority``, the diagnostic headers and admin paths.
+On the server, each connection is a loop: receive a head, ``respond``
+to it (bytes in, bytes out, no socket), send ``100 Continue`` if asked,
+skip the body, and ``sendall`` the reply. A refused request is a
+``HeadError`` carrying its status, 501 included.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
 from . import __version__
-from .clock import SYSTEM_CLOCK
+from .clock import SYSTEM_CLOCK, Clock
 from .content import Post
-from .edge import CacheStatus, EdgeWorker
+from .edge import CacheStatus, EdgeWorker, Response
 
 # Head limits at the stdlib's values: 100 header lines, 65,536 bytes a line
 # counted with its line end.
@@ -159,6 +160,47 @@ def request_page(target: str) -> str:
     return urlsplit(target).path.removesuffix("/") or "/"
 
 
+def _authority(host: str, port: int) -> str:
+    """``host:port``, an IPv6 host in brackets (RFC 3986 section 3.2.2)."""
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+def _framing(version: str, headers: dict[str, str], limit: int) -> tuple[int, bool]:
+    """How a message ends: ``(body length, close)``, the length 0 without a ``content-length``.
+
+    The length is ASCII digits, leading zeros ignored (``int()`` refuses over 4,300 digits);
+    ``HeadError`` 501 for ``Transfer-Encoding``, which neither end reads, 400 for another value,
+    413 over ``limit``. ``close``: ``Connection: close``, or HTTP/1.0 without ``keep-alive``.
+    """
+    connection = headers.get("connection", "").lower()
+    close = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
+    if "transfer-encoding" in headers:
+        raise HeadError("Transfer-Encoding is not supported", 501)
+    if (length := headers.get("content-length")) is None:
+        return 0, close
+    if not (length.isascii() and length.isdigit()):
+        raise HeadError(f"Bad Content-Length ({length!r})")
+    digits = length.lstrip("0")
+    if len(digits) > len(str(limit)) or (n := int(digits or "0")) > limit:
+        raise HeadError(f"a body of {length[:20]} bytes is over {limit}", 413)
+    return n, close
+
+
+# A response's status line: HTTP/1.<minor> <3-digit status>[ <reason>].
+_STATUS_LINE = re.compile(r"(HTTP/1\.[0-9]) ([0-9]{3})(?: |\Z)")
+# The diagnostic headers of a variant's GET, written by the server and read by the client: the cache
+# status, bound once both ways so neither end calls the enum, and whole microseconds, 15 digits at most (31 years).
+_CACHE_HEADER = "x-edge-cache"
+_CACHE_FIELDS = {s: f"{_CACHE_HEADER}: {s.value}\r\n".encode() for s in CacheStatus}
+_CACHE_STATUSES = {s.value: s for s in CacheStatus}
+_SERVER_TIME_HEADER = "x-server-time-us"
+_SERVER_TIME_FIELD = f"{_SERVER_TIME_HEADER}: %d\r\n".encode()
+_MICROSECONDS = re.compile(r"[0-9]{1,15}")
+# The admin endpoints, POSTed with an empty body; a purge answers {"removed": n}.
+_PURGE = "/__admin/purge"
+_COLD = "/__admin/cold"
+
+
 # Constant response parts, joined with the rest of each response once.
 _STATUS_LINES = {s.value: b"HTTP/1.1 %d %s\r\n" % (s.value, s.phrase.encode()) for s in HTTPStatus}
 _SERVER = f"edgelab/{__version__} Python/{sys.version.split()[0]}"
@@ -167,7 +209,6 @@ _JSON = b"content-type: application/json\r\n"
 _TEXT = b"content-type: text/plain; charset=utf-8\r\n"
 _CLOSE = b"Connection: close\r\n"
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
-_CACHE_FIELDS = {s: b"x-edge-cache: %s\r\n" % s.value.encode() for s in CacheStatus}
 
 
 _DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -223,17 +264,7 @@ def respond(
         if (version := words[2]) not in ("HTTP/1.1", "HTTP/1.0"):
             raise HeadError(f"Bad request version ({version!r})", 505 if _HTTP_VERSION.fullmatch(version) else 400)
         method, target = words[:2]
-        connection = headers.get("connection", "").lower()
-        close = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
-        if "transfer-encoding" in headers:
-            raise HeadError("Transfer-Encoding is not supported", 501)
-        if (length := headers.get("content-length")) is not None:
-            if not (length.isascii() and length.isdigit()):
-                raise HeadError(f"Bad Content-Length ({length!r})")
-            digits = length.lstrip("0")  # int() refuses a string of over 4,300 digits
-            if len(digits) > len(str(MAX_BODY)) or (n := int(digits or "0")) > MAX_BODY:
-                raise HeadError(f"a body of {length[:20]} bytes is over {MAX_BODY}", 413)
-            size = n
+        size, close = _framing(version, headers, MAX_BODY)
         expect_continue = version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue"
         # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
         page = request_page("/" + target.lstrip("/") if target.startswith("//") else target)
@@ -296,13 +327,13 @@ class _VariantHandler(_SilentHandler):
         worker = self.server.worker
         if method == "GET":
             resp = worker.handle_request(page, SYSTEM_CLOCK)
-            server_us = b"x-server-time-us: %d\r\n" % round(resp.server_time * 1e6)
+            server_us = _SERVER_TIME_FIELD % round(resp.server_time * 1e6)
             return resp.status, resp.body, (_HTML, _CACHE_FIELDS[resp.cache_status], server_us)
         if method != "POST":
             raise HeadError(f"Unsupported method ({method!r})", 501)
-        if page == "/__admin/purge":
+        if page == _PURGE:
             return 200, json.dumps({"removed": worker.purge_cache()}).encode(), (_JSON,)
-        if page == "/__admin/cold":
+        if page == _COLD:
             worker.cold_worker()
             return 200, b'{"ok": true}', (_JSON,)
         return 404, b'{"error": "unknown admin endpoint"}', (_JSON,)
@@ -345,8 +376,7 @@ class _Server(socketserver.ThreadingTCPServer):
 
     @property
     def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+        return f"http://{_authority(*self.server_address[:2])}"
 
     def process_request(self, request, client_address) -> None:
         self.open_connections.add(request)
@@ -397,3 +427,123 @@ class ContentServer(_Server):
         self.post_bodies = dict(encoded)  # keyed by post id in canonical decimal
         self.delay = delay
         super().__init__(_ContentHandler, host, port)
+
+
+class TargetUnreachableError(RuntimeError):
+    """The benchmark target produced no successful response."""
+
+
+def _host_port(url: str) -> tuple[str, int]:
+    """Host and port of a variant's base URL: ``http://host:port``, ``host:port`` or ``[::1]:port``.
+
+    A variant is served at the root, so a base path is rejected rather
+    than silently dropped. An empty port means 80 (RFC 3986 section
+    3.2.3); port 0 names no server, so it is rejected.
+    """
+    split = urlsplit(url if "//" in url else f"//{url}")
+    try:
+        port = split.port
+    except ValueError as exc:
+        raise ValueError(f"unsupported target url: {url}: {exc}") from exc
+    if split.scheme not in ("http", "") or not split.hostname or port == 0:
+        raise ValueError(f"unsupported target url: {url}")
+    if split.path not in ("", "/") or split.query or split.fragment:
+        raise ValueError(f"target url must not carry a path or query: {url}")
+    return split.hostname, 80 if port is None else port
+
+
+class _HttpTarget:
+    """A served variant behind the worker's interface, over one keep-alive connection.
+
+    The socket opens on the first request and is kept until ``close`` or
+    a response that ends the connection (``_framing``). Responses are read
+    with ``recv`` into a buffer kept with the socket, by the server's own
+    head codec and framing rule; a response must be framed by
+    ``content-length``. A request that fails on a reused connection (the
+    server may have closed it while idle) is retried once on a fresh one,
+    which RFC 9112 section 9.3.1 allows because GET and both admin POSTs
+    are idempotent in effect. On a fresh connection, a failed connect, a
+    reset or a close before the response means the target is unreachable;
+    a response that breaks HTTP/1.1 is reported as such. Server time comes
+    from the x-server-time-us response header so the client's own overhead
+    does not pollute the server-side metric.
+    """
+
+    def __init__(self, base_url: str):
+        self._address = _host_port(base_url)
+        self._authority = _authority(*self._address)
+        self._head_tail = f" HTTP/1.1\r\nHost: {self._authority}\r\n"
+        self._sock: socket.socket | None = None
+        self._buf = b""
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock, self._buf = None, b""
+
+    def _request(self, method: str, path: str) -> tuple[int, dict[str, str], bytes]:
+        reused = self._sock is not None
+        try:
+            if not reused:
+                self._sock = socket.create_connection(self._address, timeout=30)
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock = self._sock
+            framing = "Content-Length: 0\r\n" if method == "POST" else ""
+            sock.sendall(f"{method} {path}{self._head_tail}{framing}\r\n".encode())
+            head, rest = receive_head(sock.recv, self._buf)
+            status_line, headers = parse_head(head)
+            if (status := _STATUS_LINE.match(status_line)) is None:
+                raise ValueError(f"not an HTTP/1.x response: {status_line[:64]!r}")
+            if "content-length" not in headers:
+                raise ValueError("response not framed by content-length")
+            n, close = _framing(status[1], headers, sys.maxsize)
+            chunks, received = [rest], len(rest)
+            while received < n:
+                if not (chunk := sock.recv(_RECV_SIZE)):
+                    raise ValueError(f"response body cut short at {received} of {n} bytes")
+                chunks.append(chunk)
+                received += len(chunk)
+            rest = b"".join(chunks)
+            body, self._buf = rest[:n], rest[n:]
+            if close:
+                self.close()
+            return int(status[2]), headers, body
+        except (OSError, ValueError) as exc:
+            self.close()
+            if reused:
+                return self._request(method, path)
+            fault = "unreachable" if isinstance(exc, OSError) else "broke HTTP/1.1"
+            raise TargetUnreachableError(f"{self._authority} {fault}: {exc}") from exc
+
+    def handle_request(self, path: str, clock: Clock) -> Response:
+        t0 = clock.now()
+        status, headers, body = self._request("GET", path)
+        server_us = headers.get(_SERVER_TIME_HEADER)
+        if server_us is None:
+            server_time = (clock.now() - t0) / 1e9
+        elif _MICROSECONDS.fullmatch(server_us):
+            server_time = int(server_us) / 1e6
+        else:
+            raise TargetUnreachableError(f"target answered {path} with a bad {_SERVER_TIME_HEADER}: {server_us!r}")
+        cache_header = headers.get(_CACHE_HEADER, "BYPASS")
+        cache_status = _CACHE_STATUSES.get(cache_header)
+        if cache_status is None:
+            raise TargetUnreachableError(f"target answered {path} with an unknown {_CACHE_HEADER}: {cache_header!r}")
+        return Response(status, body, server_time, cache_status)
+
+    def purge_cache(self) -> int:
+        status, _, body = self._request("POST", _PURGE)
+        if status != 200:
+            raise TargetUnreachableError(f"purge failed with status {status}")
+        try:
+            removed = json.loads(body)["removed"]
+        except (ValueError, KeyError, TypeError):
+            removed = None
+        if type(removed) is not int:
+            raise TargetUnreachableError(f"{_PURGE} answered without an integer 'removed': {body[:64]!r}")
+        return removed
+
+    def cold_worker(self) -> None:
+        status, _, _ = self._request("POST", _COLD)
+        if status != 200:
+            raise TargetUnreachableError(f"cold reset failed with status {status}")

@@ -31,22 +31,21 @@ class ThrottleProfile:
     """Link parameters. Defaults are a throttled mobile connection."""
 
     downlink: float = 1_600_000.0  # bits/second
-    uplink: float = 750_000.0      # bits/second
     rtt: float = 0.150             # seconds
     render_overhead: float = 0.0   # seconds, calibration constant
 
     def __post_init__(self) -> None:
-        if self.downlink <= 0 or self.uplink <= 0:
-            raise ValueError("link rates must be positive")
+        if self.downlink <= 0:
+            raise ValueError("downlink must be positive")
         if self.rtt < 0 or self.render_overhead < 0:
             raise ValueError("rtt and render_overhead must be >= 0")
 
 
 PROFILES: dict[str, ThrottleProfile] = {
-    # 1.6 Mbps down / 750 Kbps up, 150 ms latency.
+    # 1.6 Mbps down / 750 Kbps up (the uplink is not modelled), 150 ms latency.
     "mobile-throttled": ThrottleProfile(),
     # All client-side costs zero; fcp reduces to server_time.
-    "none": ThrottleProfile(downlink=math.inf, uplink=math.inf, rtt=0.0),
+    "none": ThrottleProfile(downlink=math.inf, rtt=0.0),
 }
 
 

@@ -740,7 +740,7 @@ def test_discard_first_must_be_shorter_than_duration():
     ],
 )
 def test_target_url_forms(url, host, port):
-    from edgelab.bench import _host_port
+    from edgelab.httpserve import _host_port
 
     assert _host_port(url) == (host, port)
 
@@ -759,7 +759,7 @@ def test_target_url_forms(url, host, port):
     ],
 )
 def test_target_url_rejects(url):
-    from edgelab.bench import _host_port
+    from edgelab.httpserve import _host_port
 
     with pytest.raises(ValueError):
         _host_port(url)

@@ -46,29 +46,6 @@ def test_prng_matches_reference_for_any_seed(seed):
     assert [rng.next_int() for _ in range(3)] == reference_stream(seed, 3)
 
 
-def _assert_below_many_matches_below(seed, n, k):
-    one_by_one, batched = SplitMix64(seed), SplitMix64(seed)
-    assert batched.below_many(n, k) == [one_by_one.below(n) for _ in range(k)]
-    assert batched.next_int() == one_by_one.next_int()  # both streams end in the same state
-
-
-@given(
-    st.integers(min_value=0, max_value=MASK64),
-    st.one_of(st.sampled_from([1, 2, MASK64]), st.integers(min_value=1, max_value=MASK64)),
-    st.integers(min_value=0, max_value=2600),
-)
-def test_below_many_equals_that_many_calls_of_below(seed, n, k):
-    _assert_below_many_matches_below(seed, n, k)
-
-
-@pytest.mark.parametrize("k", [0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1, 2500])
-@pytest.mark.parametrize("n", [1, 69, MASK64])
-def test_below_many_matches_below_across_lane_blocks(n, k):
-    assert _LANES < 2500  # 2500 draws span more than one block
-    for seed in (0, MASK64, 0x0123456789ABCDEF):
-        _assert_below_many_matches_below(seed, n, k)
-
-
 def _adversarial_lanes(n):
     """64-bit values at the edges of the in-lane remainder for divisor ``n``."""
     values = {0, MASK64, 2**32 - 1, 2**32, 2**40 - 1, 2**40}
@@ -87,13 +64,6 @@ def test_in_lane_remainder_equals_x_mod_n_at_the_edges(n):
     assert list(_residues(len(values), z & ((1 << (128 * len(values))) - 1), n)) == [
         v % n for v in values
     ]
-
-
-def test_below_many_rejects_a_negative_count():
-    with pytest.raises(ValueError):
-        SplitMix64(1).below_many(10, -1)
-    with pytest.raises(ValueError):
-        SplitMix64(1).below_many(0, 3)
 
 
 @pytest.mark.parametrize("word_min, word_max", [(-5, -3), (0, 10), (0, 0), (10, 5)])
@@ -158,7 +128,7 @@ def test_make_post_equals_one_below_per_draw_around_block_ends(word_min, word_ma
 
 
 def test_generated_content_is_pinned():
-    # Digests recorded before below_many drew its words in packed lanes;
+    # Digests recorded before words were drawn in packed lanes;
     # the second needs up to 3000 draws per post, several lane blocks.
     assert (
         content_digest(generate_posts(42, 100))

@@ -19,12 +19,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgelab import httpserve
-from edgelab.bench import BenchConfig, ResetPolicy, TargetUnreachableError, _HttpTarget, run_audit, run_load
+from edgelab.bench import BenchConfig, ResetPolicy, TargetUnreachableError, run_audit, run_load
 from edgelab.cli import main
 from edgelab.clock import SYSTEM_CLOCK
 from edgelab.content import generate_posts, make_post
 from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
-from edgelab.httpserve import ContentServer, VariantServer
+from edgelab.httpserve import ContentServer, VariantServer, _HttpTarget
 
 pytestmark = pytest.mark.wallclock
 
@@ -587,6 +587,17 @@ def test_client_rejects_a_bad_response_without_hanging(reply, close, fault):
     # Only a target that never answered is unreachable; one that answered badly says so.
     assert str(raised.value).startswith(f"127.0.0.1:{fake.port} {fault}: ")
     assert ("unreachable" in str(raised.value)) == (fault == "unreachable")
+
+
+def test_client_reads_a_zero_padded_content_length_of_thousands_of_digits():
+    # int() refuses over 4,300 digits; the server reads such a length, and the client must too.
+    body = b"<p>ok</p>"
+    length = b"%05001d" % len(body)
+    reply = _reply(body, b"x-edge-cache: HIT", b"Content-Length: " + length)
+    with _FakeServer(lambda c, n: reply) as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
+        responses = [target.handle_request("/", SYSTEM_CLOCK) for _ in range(2)]
+    assert len(length) == 5001
+    assert [(r.status, r.body, r.cache_status) for r in responses] == [(200, body, CacheStatus.HIT)] * 2
 
 
 def test_a_refused_connection_is_unreachable():

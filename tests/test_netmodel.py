@@ -22,7 +22,6 @@ def _resp(body: bytes, server_time: float) -> Response:
 
 def test_mobile_profile_numbers():
     assert MOBILE.downlink == 1_600_000.0
-    assert MOBILE.uplink == 750_000.0
     assert MOBILE.rtt == 0.150
 
 
