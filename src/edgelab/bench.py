@@ -13,9 +13,13 @@ Two protocols are implemented:
 
 Both accept a base URL (wall clock, real sockets), an in-process
 worker or a bare ``(path, clock) -> Response`` handler. A URL is reached
-through ``httpserve``'s load client over one keep-alive connection per
-load connection and per audit; every rule of the wire (framing,
-headers, admin paths) is written in ``httpserve`` alone. With a
+through ``httpserve``'s load client, one keep-alive connection per load
+connection and per audit; every rule of the wire (framing, headers,
+admin paths) is written in ``httpserve`` alone. ``run_load`` drives all
+of a URL's connections from the calling thread on one selector
+(``httpserve._closed_loop``) and records them in one histogram. An
+in-process target on the wall clock gets a thread per connection
+instead, because a worker waits in ``SystemClock.sleep``. With a
 VirtualClock, ``run_load`` becomes a
 deterministic event-driven simulation: each connection gets its own
 forked clock and events are processed in timestamp order. Against an
@@ -47,7 +51,7 @@ from typing import Callable, Sequence, Union
 
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock, to_ns
 from .edge import EdgeWorker, Response
-from .httpserve import TargetUnreachableError, _HttpTarget, request_page
+from .httpserve import TargetUnreachableError, _closed_loop, _HttpTarget, request_page
 from .netmodel import PROFILES, ThrottleProfile, fcp_proxy
 
 PERCENTILE_POINTS = (50.0, 75.0, 90.0, 97.5, 99.0, 99.9, 99.99, 100.0)
@@ -276,6 +280,8 @@ def run_load(
         if isinstance(target, str):
             raise ValueError("virtual-clock load runs need an in-process target")
         return _run_load_simulated(target, cfg, clock, background)
+    if isinstance(target, str):
+        return _run_load_http(target, cfg)
     return _run_load_threads(target, cfg)
 
 
@@ -401,7 +407,11 @@ def _load_report(
     errors: int,
     measured: float,
     cfg: BenchConfig,
+    failure: Exception | None = None,
 ) -> BenchReport:
+    if responses == 0 and failure is not None:
+        # Say why the target is dead (refused, timed out, reset), not only that it is.
+        raise TargetUnreachableError(str(failure) or type(failure).__name__) from failure
     if responses == 0:
         raise ValueError(f"no request started after discard_first ({cfg.discard_first} s) of the {cfg.duration} s run")
     return BenchReport(
@@ -416,44 +426,63 @@ def _load_report(
     )
 
 
+def _run_load_http(url: str, cfg: BenchConfig) -> BenchReport:
+    hist = LatencyHistogram()
+    record = hist.record
+    total_bytes = responses = errors = 0
+    failure: Exception | None = None
+    start = time.perf_counter()
+    deadline = start + cfg.duration
+    cutoff = start + cfg.discard_first
+    for sent, done, outcome in _closed_loop(url, cfg.target_path, cfg.connections, deadline):
+        if isinstance(outcome, TargetUnreachableError):
+            failure = failure or outcome
+            errors += sent >= cutoff
+        elif sent >= cutoff:
+            record(done - sent)
+            total_bytes += len(outcome.body)
+            responses += 1
+            errors += outcome.status >= 400
+    elapsed = time.perf_counter() - start
+    return _load_report(hist, total_bytes, responses, errors, elapsed - cfg.discard_first, cfg, failure)
+
+
 def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
+    """Wall-clock load on an in-process target: a thread per connection, as its worker sleeps."""
+    fetch = _fetch(target)
     results: list[tuple[LatencyHistogram, int, int, int]] = []
     failures: list[Exception] = []
     results_lock = threading.Lock()
-    # One target per connection, opened here so a bad URL raises in the caller.
-    opened = [_open(target) for _ in range(cfg.connections)]
     start = time.perf_counter()
     deadline = start + cfg.duration
     cutoff = start + cfg.discard_first
 
-    def connection_loop(conn) -> None:
+    def connection_loop() -> None:
         hist = LatencyHistogram()
         nbytes = 0
         count = 0
         errors = 0
-        with conn as tgt:
-            fetch = _fetch(tgt)
-            while (t0 := time.perf_counter()) < deadline:
-                try:
-                    resp = fetch(cfg.target_path, SYSTEM_CLOCK)
-                except Exception as exc:
-                    # A connection ends at its first failure, so a dead target fails fast.
-                    if t0 >= cutoff:
-                        errors += 1
-                    with results_lock:
-                        failures.append(exc)
-                    break
-                latency = time.perf_counter() - t0
+        while (t0 := time.perf_counter()) < deadline:
+            try:
+                resp = fetch(cfg.target_path, SYSTEM_CLOCK)
+            except Exception as exc:
+                # A connection ends at its first failure, so a dead target fails fast.
                 if t0 >= cutoff:
-                    hist.record(latency)
-                    nbytes += len(resp.body)
-                    count += 1
-                    if resp.status >= 400:
-                        errors += 1
+                    errors += 1
+                with results_lock:
+                    failures.append(exc)
+                break
+            latency = time.perf_counter() - t0
+            if t0 >= cutoff:
+                hist.record(latency)
+                nbytes += len(resp.body)
+                count += 1
+                if resp.status >= 400:
+                    errors += 1
         with results_lock:
             results.append((hist, nbytes, count, errors))
 
-    threads = [threading.Thread(target=connection_loop, args=(conn,)) for conn in opened]
+    threads = [threading.Thread(target=connection_loop) for _ in range(cfg.connections)]
     for t in threads:
         t.start()
     for t in threads:
@@ -469,10 +498,8 @@ def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
         total_bytes += nbytes
         responses += count
         errors += errs
-    if responses == 0 and failures:
-        # Say why the target is dead (refused, timed out, reset), not only that it is.
-        raise TargetUnreachableError(str(failures[0]) or type(failures[0]).__name__) from failures[0]
-    return _load_report(merged, total_bytes, responses, errors, elapsed - cfg.discard_first, cfg)
+    failure = failures[0] if failures else None
+    return _load_report(merged, total_bytes, responses, errors, elapsed - cfg.discard_first, cfg, failure)
 
 
 def run_audit(

@@ -34,11 +34,16 @@ under 65,536 bytes each (431 beyond). A body is framed by
 (over 1 MiB gets 413), and ``Transfer-Encoding`` gets 501 and a close.
 Each response is one ``sendall`` with a ``content-length``.
 
-The load client ``_HttpTarget``, which ``bench`` drives, shares the
-server's head codec (``receive_head``, ``parse_head``: bytes in, start
-line and headers out, no socket) and every other rule of the wire:
-``_framing``, ``_authority``, the diagnostic headers and admin paths.
-On the server, each connection is a loop: receive a head, ``respond``
+The load client, which ``bench`` drives, shares the server's head
+reader (``_read_head``, which ``receive_head`` drives on a blocking
+socket), its head codec (``parse_head``: bytes in, start line and
+headers out, no socket) and every other rule of the wire: ``_framing``,
+``_authority``, the diagnostic headers and admin paths. Its sockets are
+non-blocking. An ``_HttpTarget`` is one keep-alive connection whose
+requests are steps of one generator that stops at each wait for the
+socket: an audit waits on its one socket, and ``_closed_loop`` drives
+every connection of a load run from one thread on one selector, each
+wait up to ``_TIMEOUT``. On the server, each connection is a loop: receive a head, ``respond``
 to it (bytes in, bytes out, no socket), send ``100 Continue`` if asked,
 skip the body, and ``sendall`` the reply. A refused request is a
 ``HeadError`` carrying its status, 501 included.
@@ -47,8 +52,11 @@ skip the body, and ``sendall`` the reply. A refused request is a
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
+import os
 import re
+import selectors
 import socket
 import socketserver
 import sys
@@ -57,7 +65,7 @@ import time
 from dataclasses import asdict
 from functools import lru_cache
 from http import HTTPStatus
-from typing import Callable, Iterable
+from typing import Callable, Generator, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from . import __version__
@@ -75,6 +83,8 @@ _HEAD_END = re.compile(rb"\n\r?\n")  # the empty line that ends a head
 _EMPTY_LINE = (b"\n", b"\r\n")
 # A header line: RFC 9110 section 5.6.2 token, colon, value.
 _FIELD = re.compile(r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):(.*)")
+# Every line of a head's fields at once, each match one whole line, its value stripped on the left.
+_FIELD_LINES = re.compile(r"^([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t\r\x0b\x0c]*(.*)$", re.MULTILINE)
 _WHITESPACE = " \t\r\x0b\x0c"  # what bytes.strip() strips, less the LF no line holds
 _HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
 # How often ``serve_forever`` checks for a stop request: ``stop`` waits up to this long.
@@ -102,7 +112,15 @@ def parse_head(head: bytes) -> tuple[str, dict[str, str]]:
     Raises ``HeadError`` for the first malformed line or exceeded limit,
     in line order.
     """
-    start, *lines = head.decode("iso-8859-1").split("\n")
+    start, newline, rest = head.decode("iso-8859-1").partition("\n")
+    # The usual head in one pass: no line can be over the limit, every line is a field, no name repeats.
+    if rest and len(head) < MAX_LINE:
+        fields = _FIELD_LINES.findall(rest)
+        if len(fields) == rest.count("\n") + 1 <= MAX_HEADERS:
+            headers = {name.lower(): value.rstrip(_WHITESPACE) for name, value in fields}
+            if len(headers) == len(fields):
+                return start.rstrip("\r"), headers
+    lines = rest.split("\n") if newline else []
     if len(start) >= MAX_LINE:
         raise HeadError("start line too long", 414)
     headers: dict[str, str] = {}
@@ -118,21 +136,26 @@ def parse_head(head: bytes) -> tuple[str, dict[str, str]]:
     return start.rstrip("\r"), headers
 
 
-def receive_head(recv: Callable[[int], bytes], buf: bytes) -> tuple[bytes, bytes]:
-    """Call ``recv`` until ``buf`` holds a whole head; return the head and the bytes after it.
+def _read_head(recv: Callable[[int], bytes], buf: bytes) -> Generator[None, None, tuple[bytes, bytes]]:
+    """Read a head from ``recv`` as its bytes arrive; return the head and the bytes after it.
 
-    A head whose first line is empty is empty. Each search for the end
+    It starts from ``buf``, the bytes already received, and yields before
+    each call of ``recv``: a caller with a non-blocking socket resumes it
+    once the socket is readable, one with a blocking socket at once. A
+    head whose first line is empty is empty. Each search for the end
     starts where the last one left off, and a head over several reads
     grows in place. While the head is unfinished, its unfinished line and
     its line count are held to ``parse_head``'s limits, so a head over
     them is not buffered to its end; a fault among its complete lines,
     which come first, is named before the limit. Raises
-    ``ConnectionError`` at EOF before any byte, ``HeadError`` at EOF inside
-    a head or beyond a limit.
+    ``ConnectionError`` at EOF before any byte, ``HeadError`` at EOF
+    inside a head or beyond a limit.
     """
     seen = lines = line_start = 0
-    if not buf and not (buf := recv(_RECV_SIZE)):
-        raise ConnectionError("connection closed before a head")
+    if not buf:
+        yield
+        if not (buf := recv(_RECV_SIZE)):
+            raise ConnectionError("connection closed before a head")
     data = buf  # the bytes received, a bytearray once a second read is needed
     while not data.startswith(_EMPTY_LINE):
         if (end := _HEAD_END.search(data, max(seen - 2, 0))) is not None:
@@ -146,6 +169,7 @@ def receive_head(recv: Callable[[int], bytes], buf: bytes) -> tuple[bytes, bytes
             # A fault in the complete lines, a line too many among them, comes first.
             parse_head(bytes(data[: line_start - 1]))
             raise HeadError("header line too long", 431)
+        yield
         if not (chunk := recv(_RECV_SIZE)):
             raise HeadError("connection closed inside a head")
         seen = len(data)
@@ -153,6 +177,24 @@ def receive_head(recv: Callable[[int], bytes], buf: bytes) -> tuple[bytes, bytes
             data = bytearray(buf)
         data += chunk
     return b"", bytes(data[data.index(b"\n") + 1 :])
+
+
+def receive_head(recv: Callable[[int], bytes], buf: bytes) -> tuple[bytes, bytes]:
+    """Call ``recv``, which blocks, until ``buf`` holds a whole head; return the head and the bytes after it.
+
+    The head is read by ``_read_head``, with its limits and faults. A
+    head found whole in the first bytes, as a request usually is, is cut
+    out by the same search without starting the reader.
+    """
+    if (buf or (buf := recv(_RECV_SIZE))) and not buf.startswith(_EMPTY_LINE):
+        if (end := _HEAD_END.search(buf)) is not None:
+            return buf[: end.start()], buf[end.end() :]
+    reader = _read_head(recv, buf)
+    try:
+        while True:
+            next(reader)
+    except StopIteration as done:
+        return done.value
 
 
 def request_page(target: str) -> str:
@@ -433,6 +475,12 @@ class TargetUnreachableError(RuntimeError):
     """The benchmark target produced no successful response."""
 
 
+# How long the client waits on a socket, for a connect, the room to send or the next bytes of a reply.
+_TIMEOUT = 30.0
+# How a request ends: the reply's status, headers and body, or the fault that ended its connection.
+_Outcome = tuple[int, dict[str, str], bytes] | TargetUnreachableError
+
+
 def _host_port(url: str) -> tuple[str, int]:
     """Host and port of a variant's base URL: ``http://host:port``, ``host:port`` or ``[::1]:port``.
 
@@ -452,84 +500,186 @@ def _host_port(url: str) -> tuple[str, int]:
     return split.hostname, 80 if port is None else port
 
 
+def _reply_head(head: bytes) -> tuple[int, dict[str, str], int, bool]:
+    """A response head's ``(status, headers, body length, close)``, read by the server's codec and ``_framing``.
+
+    A response must be framed by ``content-length``; ``ValueError`` for one that breaks HTTP/1.1.
+    """
+    status_line, headers = parse_head(head)
+    if (status := _STATUS_LINE.match(status_line)) is None:
+        raise ValueError(f"not an HTTP/1.x response: {status_line[:64]!r}")
+    if "content-length" not in headers:
+        raise ValueError("response not framed by content-length")
+    n, close = _framing(status[1], headers, sys.maxsize)
+    return int(status[2]), headers, n, close
+
+
+def _page_response(path: str, status: int, headers: dict[str, str], body: bytes, elapsed: float) -> Response:
+    """A GET's reply as the worker's ``Response``: its server time from x-server-time-us, else ``elapsed`` seconds."""
+    server_us = headers.get(_SERVER_TIME_HEADER)
+    if server_us is None:
+        server_time = elapsed
+    elif _MICROSECONDS.fullmatch(server_us):
+        server_time = int(server_us) / 1e6
+    else:
+        raise TargetUnreachableError(f"target answered {path} with a bad {_SERVER_TIME_HEADER}: {server_us!r}")
+    cache_header = headers.get(_CACHE_HEADER, "BYPASS")
+    cache_status = _CACHE_STATUSES.get(cache_header)
+    if cache_status is None:
+        raise TargetUnreachableError(f"target answered {path} with an unknown {_CACHE_HEADER}: {cache_header!r}")
+    return Response(status, body, server_time, cache_status)
+
+
 class _HttpTarget:
     """A served variant behind the worker's interface, over one keep-alive connection.
 
+    Each request is a step of one generator (``_exchange``): it connects
+    if need be, sends the request, reads the head with ``_read_head`` and
+    the body as ``_reply_head`` frames it, and it stops at each wait for
+    its socket. The socket is non-blocking and stays registered on
+    ``selector`` for the event the exchange waits on, so one thread can
+    drive many targets on one selector with ``begin`` and ``advance``
+    (``_closed_loop``). A target made without a selector has one of its
+    own: ``handle_request``, ``purge_cache`` and ``cold_worker`` wait on
+    it, up to ``_TIMEOUT`` each time.
+
     The socket opens on the first request and is kept until ``close`` or
-    a response that ends the connection (``_framing``). Responses are read
-    with ``recv`` into a buffer kept with the socket, by the server's own
-    head codec and framing rule; a response must be framed by
-    ``content-length``. A request that fails on a reused connection (the
-    server may have closed it while idle) is retried once on a fresh one,
-    which RFC 9112 section 9.3.1 allows because GET and both admin POSTs
-    are idempotent in effect. On a fresh connection, a failed connect, a
-    reset or a close before the response means the target is unreachable;
-    a response that breaks HTTP/1.1 is reported as such. Server time comes
-    from the x-server-time-us response header so the client's own overhead
-    does not pollute the server-side metric.
+    a response that ends the connection (``_framing``). A request whose
+    reused connection closes or resets before any byte of the reply (the
+    server may have closed it while idle) is sent once more on a fresh
+    connection, which RFC 9112 section 9.3.1 allows because GET and both
+    admin POSTs are idempotent in effect; no other fault is retried. A
+    failed connect, a reset, a close before the response or a wait over
+    ``_TIMEOUT`` means the target is unreachable; a response that breaks
+    HTTP/1.1 is reported as such. Server time comes from the
+    x-server-time-us response header so the client's own overhead does
+    not pollute the server-side metric.
     """
 
-    def __init__(self, base_url: str):
+    def __init__(self, base_url: str, selector: selectors.BaseSelector | None = None):
         self._address = _host_port(base_url)
         self._authority = _authority(*self._address)
         self._head_tail = f" HTTP/1.1\r\nHost: {self._authority}\r\n"
+        self._requests: dict[tuple[str, str], bytes] = {}  # each request's bytes, made once
+        self._own_selector = selector is None
+        self._selector = selectors.DefaultSelector() if selector is None else selector
         self._sock: socket.socket | None = None
+        self._events = 0  # what the socket is registered for
         self._buf = b""
+        self._received = False  # whether a byte of the reply being read has arrived
+        self._exchanges = self._exchange()
+        next(self._exchanges)
 
     def close(self) -> None:
+        self._hang_up()
+        if self._own_selector:
+            self._selector.close()
+
+    def _hang_up(self) -> None:
         if self._sock is not None:
+            self._selector.unregister(self._sock)
             self._sock.close()
             self._sock, self._buf = None, b""
 
+    def _wait_for(self, events: int) -> None:
+        if events != self._events:
+            self._selector.modify(self._sock, events, self)
+            self._events = events
+
+    def _recv(self, size: int) -> bytes:
+        if chunk := self._sock.recv(size):
+            self._received = True
+        return chunk
+
+    def _connect(self) -> Generator[None, None, None]:
+        """Open a fresh connection, trying each address of the host in turn as ``socket.create_connection`` does."""
+        error = OSError(f"no address found for {self._authority}")
+        for family, kind, proto, _, address in socket.getaddrinfo(*self._address, type=socket.SOCK_STREAM):
+            self._sock = sock = socket.socket(family, kind, proto)
+            self._selector.register(sock, selectors.EVENT_WRITE, self)
+            self._events = selectors.EVENT_WRITE
+            sock.setblocking(False)
+            # Each request is one send; Nagle stays off so none waits on a delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                if (code := sock.connect_ex(address)) == errno.EINPROGRESS:
+                    yield
+                    code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if not code:
+                    return
+                error = OSError(code, os.strerror(code))
+            except OSError as exc:  # a timeout thrown in as well
+                error = exc
+            self._hang_up()
+        raise error
+
+    def _exchange(self) -> Generator[_Outcome | None, tuple[str, str] | None, None]:
+        """Every request on this target in turn: send it ``(method, path)`` to start one.
+
+        It yields None at each wait for the socket; a wait that has lasted
+        too long is ended by throwing ``TimeoutError`` in. Then it yields
+        the request's outcome: the reply's ``(status, headers, body)``, or
+        the ``TargetUnreachableError`` that ended it.
+        """
+        outcome: _Outcome | None = None
+        while True:
+            method, path = yield outcome
+            if (request := self._requests.get((method, path))) is None:
+                framing = "Content-Length: 0\r\n" if method == "POST" else ""
+                request = self._requests[method, path] = f"{method} {path}{self._head_tail}{framing}\r\n".encode()
+            while True:
+                reused, self._received = self._sock is not None, bool(self._buf)
+                try:
+                    if not reused:
+                        yield from self._connect()
+                    sock, unsent = self._sock, request
+                    while unsent := unsent[sock.send(unsent) :]:
+                        self._wait_for(selectors.EVENT_WRITE)
+                        yield
+                    self._wait_for(selectors.EVENT_READ)
+                    head, rest = yield from _read_head(self._recv, self._buf)
+                    status, headers, n, close = _reply_head(head)
+                    if len(rest) < n:
+                        chunks, received = [rest], len(rest)
+                        while received < n:
+                            yield
+                            if not (chunk := self._recv(_RECV_SIZE)):
+                                raise ValueError(f"response body cut short at {received} of {n} bytes")
+                            chunks.append(chunk)
+                            received += len(chunk)
+                        rest = b"".join(chunks)
+                    outcome, self._buf = (status, headers, rest[:n]), rest[n:]
+                    if close:
+                        self._hang_up()
+                except (OSError, ValueError) as exc:
+                    self._hang_up()
+                    if reused and not self._received and isinstance(exc, ConnectionError):
+                        continue
+                    fault = "unreachable" if isinstance(exc, OSError) else "broke HTTP/1.1"
+                    outcome = TargetUnreachableError(f"{self._authority} {fault}: {exc}")
+                    outcome.__cause__ = exc
+                break
+
+    def begin(self, method: str, path: str) -> _Outcome | None:
+        """Start a request and take it as far as it goes: its outcome, or None while it waits on the socket."""
+        return self._exchanges.send((method, path))
+
+    def advance(self, fault: OSError | None = None) -> _Outcome | None:
+        """Take the request on once the socket is ready, or end its wait with ``fault``: as ``begin``."""
+        return next(self._exchanges) if fault is None else self._exchanges.throw(fault)
+
     def _request(self, method: str, path: str) -> tuple[int, dict[str, str], bytes]:
-        reused = self._sock is not None
-        try:
-            if not reused:
-                self._sock = socket.create_connection(self._address, timeout=30)
-                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock = self._sock
-            framing = "Content-Length: 0\r\n" if method == "POST" else ""
-            sock.sendall(f"{method} {path}{self._head_tail}{framing}\r\n".encode())
-            head, rest = receive_head(sock.recv, self._buf)
-            status_line, headers = parse_head(head)
-            if (status := _STATUS_LINE.match(status_line)) is None:
-                raise ValueError(f"not an HTTP/1.x response: {status_line[:64]!r}")
-            if "content-length" not in headers:
-                raise ValueError("response not framed by content-length")
-            n, close = _framing(status[1], headers, sys.maxsize)
-            chunks, received = [rest], len(rest)
-            while received < n:
-                if not (chunk := sock.recv(_RECV_SIZE)):
-                    raise ValueError(f"response body cut short at {received} of {n} bytes")
-                chunks.append(chunk)
-                received += len(chunk)
-            rest = b"".join(chunks)
-            body, self._buf = rest[:n], rest[n:]
-            if close:
-                self.close()
-            return int(status[2]), headers, body
-        except (OSError, ValueError) as exc:
-            self.close()
-            if reused:
-                return self._request(method, path)
-            fault = "unreachable" if isinstance(exc, OSError) else "broke HTTP/1.1"
-            raise TargetUnreachableError(f"{self._authority} {fault}: {exc}") from exc
+        outcome = self.begin(method, path)
+        while outcome is None:
+            outcome = self.advance(None if self._selector.select(_TIMEOUT) else TimeoutError("timed out"))
+        if isinstance(outcome, TargetUnreachableError):
+            raise outcome
+        return outcome
 
     def handle_request(self, path: str, clock: Clock) -> Response:
         t0 = clock.now()
         status, headers, body = self._request("GET", path)
-        server_us = headers.get(_SERVER_TIME_HEADER)
-        if server_us is None:
-            server_time = (clock.now() - t0) / 1e9
-        elif _MICROSECONDS.fullmatch(server_us):
-            server_time = int(server_us) / 1e6
-        else:
-            raise TargetUnreachableError(f"target answered {path} with a bad {_SERVER_TIME_HEADER}: {server_us!r}")
-        cache_header = headers.get(_CACHE_HEADER, "BYPASS")
-        cache_status = _CACHE_STATUSES.get(cache_header)
-        if cache_status is None:
-            raise TargetUnreachableError(f"target answered {path} with an unknown {_CACHE_HEADER}: {cache_header!r}")
-        return Response(status, body, server_time, cache_status)
+        return _page_response(path, status, headers, body, (clock.now() - t0) / 1e9)
 
     def purge_cache(self) -> int:
         status, _, body = self._request("POST", _PURGE)
@@ -547,3 +697,62 @@ class _HttpTarget:
         status, _, _ = self._request("POST", _COLD)
         if status != 200:
             raise TargetUnreachableError(f"cold reset failed with status {status}")
+
+
+def _closed_loop(
+    url: str, path: str, connections: int, deadline: float
+) -> Iterator[tuple[float, float, Response | TargetUnreachableError]]:
+    """GET ``path`` from ``url`` over ``connections`` keep-alive connections, all driven from this thread.
+
+    Each connection sends its next request as soon as its last reply
+    lands, until a request would start at or after ``deadline`` (a
+    ``time.perf_counter`` reading) or it fails: a connection ends at its
+    first failure. Yields ``(sent, done, outcome)`` for each request, the
+    ``perf_counter`` readings when it started and ended and its
+    ``Response`` or the ``TargetUnreachableError`` that ended its
+    connection. One selector waits on every socket; a connection whose
+    wait passes ``_TIMEOUT`` fails, however many connections wait.
+    """
+    perf_counter = time.perf_counter
+    with selectors.DefaultSelector() as selector, contextlib.ExitStack() as opened:
+        sent: dict[_HttpTarget, float] = {}  # each connection with a request in flight: when it started
+        ready: list[tuple[_HttpTarget, _Outcome | None]] = []  # each connection that moved, and its outcome
+        for _ in range(connections):
+            target = opened.enter_context(contextlib.closing(_HttpTarget(url, selector)))
+            sent[target] = perf_counter()
+            ready.append((target, target.begin("GET", path)))
+        since = dict(sent)  # when each connection's wait began
+        now = perf_counter()
+        while True:
+            for target, outcome in ready:
+                since[target] = now
+                while outcome is not None:  # the request ended: record it and send the next
+                    done = perf_counter()
+                    if not isinstance(outcome, TargetUnreachableError):
+                        try:
+                            outcome = _page_response(path, *outcome, done - sent[target])
+                        except TargetUnreachableError as exc:
+                            outcome = exc
+                    yield sent[target], done, outcome
+                    if isinstance(outcome, TargetUnreachableError) or (t0 := perf_counter()) >= deadline:
+                        target.close()
+                        del sent[target], since[target]
+                        break
+                    sent[target] = since[target] = t0
+                    outcome = target.begin("GET", path)
+            if not sent:
+                return
+            wake = min(since.values()) + _TIMEOUT
+            events = selector.select(max(wake - perf_counter(), 0.0))
+            now = perf_counter()
+            # One ready connection a select; the next returns the others at once. Against a server in this
+            # process this measured faster: the thread handling the request just sent takes the interpreter
+            # lock at the select, instead of after the client has read every other reply.
+            ready = [(key.data, key.data.advance()) for key, _ in events[:1]]
+            if now >= wake:
+                woken = {key.data for key, _ in events}
+                ready += [
+                    (target, target.advance(TimeoutError("timed out")))
+                    for target, waited in since.items()
+                    if waited <= now - _TIMEOUT and target not in woken
+                ]

@@ -684,13 +684,13 @@ def test_wallclock_load_against_dead_port_is_unreachable(monkeypatch):
     # Each connection gives up at its first refused connect instead of
     # reconnecting for the whole run, and the error says why.
     connects = []
-    real_connect = socket.create_connection
+    real_connect = socket.socket.connect_ex
 
-    def counted_connect(address, *args, **kwargs):
+    def counted_connect(sock, address):
         connects.append(address)
-        return real_connect(address, *args, **kwargs)
+        return real_connect(sock, address)
 
-    monkeypatch.setattr(socket, "create_connection", counted_connect)
+    monkeypatch.setattr(socket.socket, "connect_ex", counted_connect)
     t0 = time.perf_counter()
     with pytest.raises(TargetUnreachableError, match="refused") as raised:
         run_load("http://127.0.0.1:1", BenchConfig(duration=5.0, connections=2))

@@ -514,12 +514,13 @@ class _FakeServer:
     """One-connection-at-a-time raw HTTP server for the client's sake.
 
     It answers the n-th request on its c-th connection with ``reply(c, n)``
-    and keeps the connection open unless ``close`` is set. Request heads
-    are kept in ``heads``.
+    and keeps the connection open unless ``close`` is set, or until it has
+    answered ``close_after`` requests on it. Request heads are kept in
+    ``heads``.
     """
 
-    def __init__(self, reply, close=False, host="127.0.0.1"):
-        self._reply, self._close = reply, close
+    def __init__(self, reply, close=False, host="127.0.0.1", close_after=None):
+        self._reply, self._close, self._close_after = reply, close, close_after
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.create_server((host, 0), family=family)
         self._listener.settimeout(0.05)
@@ -548,7 +549,7 @@ class _FakeServer:
                         break  # the client closed
                     self.heads.append(head)
                     conn.sendall(self._reply(c, n))
-                    if self._close:
+                    if self._close or n + 1 == self._close_after:
                         break
 
     def __enter__(self):
@@ -650,6 +651,84 @@ def test_client_opens_a_fresh_connection_after_a_closing_response(headers, versi
     with _FakeServer(reply) as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
         bodies = [target.handle_request("/", SYSTEM_CLOCK).body for _ in range(3)]
     assert bodies == [b"conn 0", b"conn 1", b"conn 2"]
+
+
+def _second_reply_unframed(c, n):
+    """A good reply, but the second one on connection 0 has no content-length."""
+    body = b"<p>ok</p>"
+    framing = () if (c, n) == (0, 1) else (b"Content-Length: %d" % len(body),)
+    return _reply(body, b"x-edge-cache: HIT", *framing)
+
+
+def test_a_fault_on_a_reused_connection_is_reported_not_retried():
+    # Only a close or reset before any byte of the reply is retried (RFC 9112 section 9.3.1).
+    with _FakeServer(_second_reply_unframed) as fake, contextlib.closing(_HttpTarget(fake.url)) as target:
+        assert target.handle_request("/", SYSTEM_CLOCK).body == b"<p>ok</p>"
+        with pytest.raises(TargetUnreachableError, match="broke HTTP/1.1") as raised:
+            target.handle_request("/", SYSTEM_CLOCK)
+    assert isinstance(raised.value.__cause__, ValueError)
+    assert len(fake.heads) == 2
+
+
+def test_a_load_connection_is_not_retried_after_a_fault():
+    # Both requests start inside discard_first, so the run counts no response and names its failure.
+    with _FakeServer(_second_reply_unframed) as fake:
+        with pytest.raises(TargetUnreachableError, match="broke HTTP/1.1"):
+            run_load(fake.url, BenchConfig(duration=0.5, connections=1, discard_first=0.25))
+    assert len(fake.heads) == 2
+
+
+def test_a_load_run_counts_each_retry_once():
+    # The server ends each connection after three replies without saying so; the request
+    # that finds the connection closed goes once more on a fresh one and is no error.
+    body = b"<p>ok</p>"
+    reply = _reply(body, b"x-edge-cache: HIT", b"Content-Length: %d" % len(body))
+    with _FakeServer(lambda c, n: reply, close_after=3) as fake:
+        report = run_load(fake.url, BenchConfig(duration=0.3, connections=2))
+    assert report.error_count == 0
+    assert report.total_responses == len(fake.heads) > 3
+
+
+@pytest.fixture
+def static_server(posts10, build10):
+    worker = EdgeWorker(StrategyConfig(strategy=Strategy.STATIC, base_handling=0.0))
+    worker.deploy(build10, posts10)
+    with VariantServer(worker) as server:
+        yield server
+
+
+def test_a_url_load_drives_every_connection_from_the_calling_thread(static_server, monkeypatch):
+    caller, started = threading.get_ident(), []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if threading.get_ident() == caller:
+            started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    t0 = time.perf_counter()
+    report = run_load(static_server.url, BenchConfig(duration=0.4, connections=4))
+    wall = time.perf_counter() - t0
+    assert started == []
+    assert report.error_count == 0 and report.total_responses > 0
+    assert report.requests_per_second * wall == pytest.approx(report.total_responses, rel=0.05)
+
+
+def test_a_target_that_never_answers_fails_within_about_one_timeout(monkeypatch):
+    monkeypatch.setattr(httpserve, "_TIMEOUT", 0.25)
+    # The kernel completes each handshake into the backlog; nothing ever answers.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        t0 = time.perf_counter()
+        with pytest.raises(TargetUnreachableError, match="unreachable: timed out") as raised:
+            run_load(url, BenchConfig(duration=5.0, connections=8))
+        waited = time.perf_counter() - t0
+        with contextlib.closing(_HttpTarget(url)) as target, pytest.raises(TargetUnreachableError, match="timed out"):
+            target.handle_request("/", SYSTEM_CLOCK)
+    # All eight waits run at once: one timeout, not eight in turn.
+    assert 0.25 <= waited < 0.75
+    assert isinstance(raised.value.__cause__.__cause__, TimeoutError)
 
 
 def test_client_sends_a_bracketed_host_for_ipv6():
