@@ -24,12 +24,14 @@ carry into the next, so the finalizer runs as a fixed sequence of
 whole-int shifts, xors and multiplies, masking every lane to 64 bits
 after each shift and multiply.
 
-``make_post`` takes a whole post from its stream in one block: draw 0 is
-the title length kt, draws 1..kt the title words, draw kt + 1 the word
-count w and draws kt + 2 .. kt + 1 + w the body words. The two sizing
-draws are mixed alone first; then all kt + 2 + w draws are mixed as one
-packed int (at most 509 lanes with the default bounds; a longer post
-spans blocks of ``_LANES``). ``_residues`` takes every lane mod the
+A post's stream gives draw 0 the title length kt, draws 1..kt the
+title words, draw kt + 1 the word count w and draws kt + 2 .. kt + 1 + w
+the body words. ``make_post`` mixes the kt + 2 title and sizing draws
+alone, one ``_mix`` each, and returns a post whose body is drawn when
+``.body`` is first read (``Deferred``): a run draws only the bodies it
+reads, and every read gives the same text. ``_draw_body`` mixes the w
+body draws as one packed int (at most 500 lanes with the default bounds;
+a longer body spans blocks of ``_LANES``). ``_residues`` takes every lane mod the
 lexicon size n inside the packed int, for any 1 <= n <= 256. It folds
 each lane x = hi * 2**32 + lo to y = hi * (2**32 mod n) + lo, which is
 x mod n plus a multiple of n and below 2**32 * n <= 2**40, then takes
@@ -48,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -135,6 +137,39 @@ def _stream_seed(seed: int, post_id: int) -> int:
     return _mix((seed + (post_id + 1) * _GAMMA) & _MASK64)
 
 
+class Deferred:
+    """Field ``name`` of a frozen dataclass ``cls``, made as ``make(*args)`` when first read.
+
+    Set on the class after ``@dataclass``, so the field keeps no default and
+    a value given to ``__init__`` lands in the instance dict, which hides this
+    non-data descriptor. ``new(args, **fields)`` holds ``args`` instead; the
+    first read stores the value and drops them, so later reads are plain
+    attribute reads, as with ``functools.cached_property``. ``make`` must be
+    pure: threads that read first at once may each call it.
+    """
+
+    def __init__(self, cls: type, name: str, make: Callable[..., Any]):
+        self.cls, self.name, self.make, self.key = cls, name, make, f"_{name}_args"
+        setattr(cls, name, self)
+
+    def __get__(self, obj: object, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        d = obj.__dict__
+        args = d.get(self.key)
+        if args is None:
+            return d[self.name]  # a concurrent first read stored the value, then dropped args
+        value = d[self.name] = self.make(*args)
+        d.pop(self.key, None)
+        return value
+
+    def new(self, args: tuple, **fields: Any) -> Any:
+        obj = object.__new__(self.cls)
+        obj.__dict__.update(fields)
+        obj.__dict__[self.key] = args
+        return obj
+
+
 @dataclass(frozen=True)
 class Post:
     """One blog entry. ``body`` is plain text; rendering happens elsewhere."""
@@ -147,6 +182,17 @@ class Post:
     @property
     def word_count(self) -> int:
         return len(self.body.split())
+
+
+def _draw_body(state: int, n_words: int) -> str:
+    """The words of the ``n_words`` draws after ``state``, joined by spaces."""
+    n = len(_LEXICON)
+    words = b"".join([_residues(m, z, n) for m, z in _blocks(state, n_words)])
+    return " ".join([_LEXICON[i] for i in words])
+
+
+# make_post's posts draw their body on its first read.
+_BODY = Deferred(Post, "body", _draw_body)
 
 
 def _check(seed: int, word_min: int, word_max: int) -> None:
@@ -167,15 +213,15 @@ def make_post(
         raise ValueError("post_id must be >= 0")
     _check(seed, word_min, word_max)
     s = _stream_seed(seed, post_id)
-    # Draw 0 is the title length kt, draws 1..kt the title words, draw kt + 1
-    # the word count and the rest the body words.
+    # Draw k is _mix(s + (k + 1) * GAMMA). Draw 0 is the title length kt,
+    # draws 1..kt the title words, draw kt + 1 the word count and the rest
+    # the body words, which _draw_body takes after state s + (kt + 2) * GAMMA.
     kt = 3 + _mix(s + _GAMMA) % 5
-    n_words = word_min + _mix(s + (kt + 2) * _GAMMA) % (word_max - word_min + 1)
     n = len(_LEXICON)
-    words = b"".join([_residues(m, z, n) for m, z in _blocks(s, kt + 2 + n_words)])
-    title = " ".join([_LEXICON[i] for i in words[1 : kt + 1]]).capitalize()
-    body = " ".join([_LEXICON[i] for i in words[kt + 2 :]])
-    return Post(id=post_id, slug=f"post-{post_id}", title=title, body=body)
+    title = " ".join([_LEXICON[_mix(s + k * _GAMMA) % n] for k in range(2, kt + 2)]).capitalize()
+    n_words = word_min + _mix(s + (kt + 2) * _GAMMA) % (word_max - word_min + 1)
+    body_args = ((s + (kt + 2) * _GAMMA) & _MASK64, n_words)
+    return _BODY.new(body_args, id=post_id, slug=f"post-{post_id}", title=title)
 
 
 def generate_posts(

@@ -206,9 +206,20 @@ def write_reports(summary: dict, out_dir: Path | str) -> dict[str, Path]:
 
 
 def make_site(cfg: ExperimentConfig, deterministic: bool = False) -> SiteBuild:
-    """The site build of the config's posts, which it keeps; a deterministic build is stamped at time 0."""
+    """The site build of the config's posts, which it keeps.
+
+    A deterministic build is stamped at time 0, and each post's body and
+    page are left to be made on their first read: virtual time does not see
+    CPU. A wall-clock build reads every page before it returns, which draws
+    every body, so no timed request makes a draw or a render that a build
+    would have made.
+    """
     posts = generate_posts(cfg.seed, cfg.post_count, cfg.word_min, cfg.word_max)
-    return build_site(posts, built_at=0.0 if deterministic else None)
+    build = build_site(posts, built_at=0.0 if deterministic else None)
+    if not deterministic:
+        for page in build.pages.values():
+            page.body  # the read renders the page
+    return build
 
 
 def deployed(

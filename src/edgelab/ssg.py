@@ -8,6 +8,11 @@ when it is read (``page_hashes`` for the build manifest), so a render
 pays no sha256. Text is passed through ``html.escape`` only when it
 contains a character that escaping changes.
 
+A build renders the index at once, since it needs only titles. Each post
+page it makes anew is rendered when its ``body`` is first read
+(``content.Deferred``), to the bytes ``render_post`` gives, so a run
+renders (and draws the body of) only the posts it reads.
+
 A build keeps the posts it was rendered from. An incremental rebuild
 decides what to re-render by comparing each page's inputs with the
 previous build's: the ``Post`` itself for a post page and the
@@ -24,7 +29,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .content import Post, content_digest
+from .content import Deferred, Post, content_digest
 
 INDEX_PATH = "/"
 POST_PATH_PREFIX = "/posts/"
@@ -82,8 +87,9 @@ class RenderedPage:
 
 @dataclass(frozen=True)
 class SiteBuild:
-    """Immutable snapshot of a deploy: every page of the site at one instant,
-    and the posts they were rendered from."""
+    """Immutable snapshot of a deploy: every page of the site, and the posts
+    they render from. A post page renders on its first read, to the same
+    bytes whenever that read comes."""
 
     deploy_id: int
     pages: Mapping[str, RenderedPage]
@@ -116,6 +122,14 @@ def render_post(post: Post) -> RenderedPage:
     return RenderedPage(post_path(post), html.encode())
 
 
+def _post_page_body(post: Post) -> bytes:
+    return render_post(post).body
+
+
+# A build's post pages render on their first read.
+_POST_PAGE = Deferred(RenderedPage, "body", _post_page_body)
+
+
 def _index_links(posts: Iterable[Post]) -> list[tuple[int, str, str]]:
     # Only fields that appear in index links; body edits must not touch "/".
     return [(p.id, p.slug, p.title) for p in posts]
@@ -141,10 +155,11 @@ def _render_site(
     prev_by_path = {post_path(p): p for p in prev_posts}
     for post in posts:
         path = post_path(post)
-        if prev_by_path.get(path) == post:
+        # ``is`` first: comparing a post with itself would draw its body.
+        if (old := prev_by_path.get(path)) is post or old == post:
             pages[path] = prev.pages[path]
         else:
-            pages[path] = render_post(post)
+            pages[path] = _POST_PAGE.new((post,), path=path)
             rebuilt.add(path)
 
     return (
@@ -175,7 +190,8 @@ def incremental_rebuild(
     """Rebuild only pages whose source changed, reusing the rest from ``prev``.
 
     Output is page-for-page identical to a fresh ``build_site(posts)``;
-    the returned path set is exactly the pages that were re-rendered.
+    the returned path set is exactly the pages made anew, which render
+    (the index at once, a post page on its first read) rather than reuse.
     """
     return _render_site(posts, prev, prev.deploy_id + 1, built_at)
 

@@ -36,6 +36,23 @@ def deadline():
     return _deadline
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(owner, attr)`` wraps ``owner.attr`` for the test and returns a list of what each call returned."""
+
+    def install(owner, attr):
+        seen, real = [], getattr(owner, attr)
+
+        def wrapper(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(owner, attr, wrapper)
+        return seen
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def posts10():
     return generate_posts(7, 10)

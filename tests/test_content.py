@@ -1,5 +1,7 @@
 """Content generator: determinism, random access, and the content digest."""
 
+from dataclasses import asdict, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +127,51 @@ def test_make_post_equals_one_below_per_draw_around_block_ends(word_min, word_ma
             assert make_post(seed, post_id, word_min, word_max) == reference_post(
                 seed, post_id, word_min, word_max
             )
+
+
+# What a post answers to each way of reading it; "==" compares it with the reference.
+READS = {
+    "title": lambda post, ref: post.title,
+    "body": lambda post, ref: post.body,
+    "==": lambda post, ref: post == ref,
+    "hash": lambda post, ref: hash(post),
+    "repr": lambda post, ref: repr(post),
+    "asdict": lambda post, ref: asdict(post),
+    "replace": lambda post, ref: (replace(post), replace(post, title="edited")),
+}
+
+_SEEDS = st.one_of(st.sampled_from([0, MASK64]), st.integers(min_value=0, max_value=MASK64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    post_id=st.integers(min_value=0, max_value=10**6),
+    bounds=st.one_of(_word_bounds(30), _word_bounds(600)),
+    first=st.sampled_from(sorted(READS)),
+)
+def test_a_post_reads_as_the_reference_whichever_read_comes_first(seed, post_id, bounds, first):
+    # make_post leaves the body to its first read; the reference draws it at once.
+    ref = reference_post(seed, post_id, *bounds)
+    post = make_post(seed, post_id, *bounds)
+    for name in [first, *READS]:
+        assert READS[name](post, ref) == READS[name](ref, ref), name
+    assert (post.id, post.slug, post.title, post.body) == (ref.id, ref.slug, ref.title, ref.body)
+    # Once read, the body is a plain instance attribute, as in a post built whole.
+    assert vars(post) == vars(ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=_SEEDS,
+    ids=st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n - 1))
+    ),
+    bounds=_word_bounds(600),
+)
+def test_random_access_equals_the_generated_list(seed, ids, bounds):
+    count, post_id = ids
+    assert make_post(seed, post_id, *bounds) == generate_posts(seed, count, *bounds)[post_id]
 
 
 def test_generated_content_is_pinned():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from edgelab.clock import SerialScheduler, VirtualClock
-from edgelab.content import generate_posts
+from edgelab.content import Deferred, generate_posts
 from edgelab.edge import (
     CacheStatus,
     EdgeWorker,
@@ -32,6 +32,26 @@ def test_static_serves_prebuilt_bytes(worker_factory, build10):
     assert r.body == build10.pages["/"].body
     assert r.server_time == pytest.approx(BASE)
     assert w.cache_size == 0
+
+
+def test_once_read_a_body_is_served_with_no_call_to_read_it(monkeypatch, worker_factory, build10):
+    # A build's post pages and make_post's bodies are made on their first
+    # read; after it, STATIC, SSR, MISS, HIT and steady answers read each
+    # body as a plain attribute, never through the descriptor.
+    path = "/posts/post-3"
+    want = build10.pages[path].body
+    assert build10.posts[3].body in want.decode()
+
+    def no_call(self, obj, owner=None):
+        raise AssertionError(f"{self.name} read through a call")
+
+    monkeypatch.setattr(Deferred, "__get__", no_call)
+    for strategy in Strategy:
+        w = worker_factory(strategy, SerialScheduler(), ttl=1.0)
+        clock = VirtualClock()
+        served = [w.handle_request(path, clock) for _ in range(2)]
+        assert [r.body for r in served] == [want, want]
+        assert w.steady(path)[0] == want
 
 
 def test_ssr_renders_every_request(worker_factory):

@@ -7,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from edgelab import cli, ssg
+from edgelab.bench import BenchConfig, run_audit, run_load
 from edgelab.config import preset
+from edgelab.content import Post, make_post
 from edgelab.experiment import (
+    deployed,
+    make_site,
     page_label,
     run_experiment,
     tables_from_summary,
@@ -100,6 +105,34 @@ def test_benchmark_tracer_fits_the_package(posts10):
     assert stats["ssg.incremental_rebuild"][0] == 1
     assert counts.get("ssg.pages_rebuilt", 0) == 0
     assert ssg.build_site is original
+
+
+def test_a_deterministic_experiment_draws_only_the_post_body_it_reads(spy, monkeypatch, tmp_path, capsys):
+    # Every audit and load run reads "/" or "/posts/post-0": of the 100
+    # posts, only post-0's body is drawn, once, and only its page renders.
+    drawn = spy(Post.body, "make")
+    argv = ["experiment", "--deterministic", "--preset", "all-five", "--duration", "5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert drawn == [make_post(42, 0).body]
+
+
+@pytest.mark.wallclock
+def test_a_wall_clock_run_times_no_draw_or_render(spy):
+    # make_site reads a wall-clock build whole, so the timed requests that
+    # follow draw no post body and render no page of the build.
+    cfg = preset("all-five")
+    build = make_site(cfg)
+    drawn = spy(Post.body, "make")
+    rendered = spy(ssg, "render_post")
+    # STATIC serves the build's pages; ISR renders its own from the build's posts.
+    for variant in (v for v in cfg.variants if v.name in ("static", "isr")):
+        worker, clock, _ = deployed(variant, build)
+        for page in ("/", "/posts/post-7"):
+            assert run_audit(worker, page, runs=2, clock=clock).runs == 2
+            load = run_load(worker, BenchConfig(duration=0.2, connections=2, target_path=page), clock)
+            assert load.total_responses > 0 and load.error_count == 0
+    assert (drawn, rendered) == ([], [])
 
 
 # The all-five deterministic experiment at 2 s of load. c10 only compares

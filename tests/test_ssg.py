@@ -2,13 +2,19 @@
 
 import hashlib
 import re
+import sys
+import threading
 from dataclasses import replace
 from html import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_content import MASK64, reference_post
 
-from edgelab.content import Post, content_digest, generate_posts
+from edgelab.content import Post, content_digest, generate_posts, make_post
 from edgelab.ssg import (
+    RenderedPage,
     build_site,
     export_site,
     incremental_rebuild,
@@ -168,3 +174,67 @@ def test_export_layout_and_bytes(tmp_path, posts10, build10):
 def test_pages_mapping_is_read_only(build10):
     with pytest.raises(TypeError):
         build10.pages["/"] = None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, MASK64]), st.integers(min_value=0, max_value=MASK64)),
+    count=st.integers(min_value=1, max_value=6),
+    bounds=st.tuples(st.integers(1, 600), st.integers(1, 600)).map(sorted),
+)
+def test_a_built_page_renders_on_its_first_read_to_the_reference_bytes(seed, count, bounds):
+    build = build_site(generate_posts(seed, count, *bounds), built_at=0.0)
+    for post_id in range(count):
+        ref = render_post(reference_post(seed, post_id, *bounds))
+        page = build.pages[ref.path]
+        assert page.body == ref.body
+        assert page == ref and hash(page) == hash(ref) and repr(page) == repr(ref)
+        # Once read, the bytes are a plain instance attribute, as in a page rendered at once.
+        assert vars(page) == vars(ref)
+
+
+def test_building_and_rebuilding_draws_and_renders_no_post_page(spy):
+    draws = spy(Post.body, "make")
+    renders = spy(RenderedPage.body, "make")
+    posts = generate_posts(42, 20)
+    build = build_site(posts, built_at=0.0)
+    again, rebuilt = incremental_rebuild(build, posts, built_at=1.0)
+    assert rebuilt == frozenset() and (draws, renders) == ([], [])
+    # A page reads its post's body once; a rebuild compares unchanged posts by identity.
+    assert again.pages["/posts/post-3"].body == render_post(reference_post(42, 3, 50, 500)).body
+    assert len(draws) == len(renders) == 1
+
+
+def test_concurrent_first_reads_of_a_post_and_a_page_agree():
+    # Eight threads read one fresh post's body and one fresh page's body
+    # for the first time at once: none may find the value missing while
+    # another stores it.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for post_id in range(20):
+            want_post = reference_post(42, post_id, 50, 500)
+            want_page = render_post(reference_post(7, post_id, 50, 500))
+            post = make_post(42, post_id)
+            page = build_site([make_post(7, i) for i in range(post_id + 1)]).pages[want_page.path]
+            start = threading.Barrier(8)
+            seen, errors = [], []
+
+            def first_read():
+                try:
+                    start.wait(timeout=5)
+                    seen.append((post.body, page.body))
+                except Exception as exc:  # reported below with the thread's peers
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=first_read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert seen == [(want_post.body, want_page.body)] * 8
+            assert vars(post) == vars(want_post) and vars(page) == vars(want_page)
+    finally:
+        sys.setswitchinterval(interval)
