@@ -30,7 +30,10 @@ time is whole nanoseconds, every such request takes the same step, and
 each connection sleeps in one closed-form step to its first request
 that would find the page stale or starts at the deadline. So an SSR run
 renders its page once, not once per request, and the figures are those
-of calling the worker every time.
+of calling the worker every time. Each such stretch, and each run of
+consecutive recorded requests that took the same virtual time, goes to
+the histogram in one ``record(latency, n)`` call; the histogram sums
+whole ns, so the report is the one that recording each request gives.
 
 Percentiles are nearest-rank: the smallest recorded value v such that
 at least p% of samples are <= v.
@@ -98,14 +101,17 @@ class LatencyHistogram:
 
     Samples outside the trackable range are clamped and counted in
     ``clamped_count``; in-range samples are reported with at most 1%
-    relative error. The observed maximum is tracked exactly.
+    relative error. The observed maximum is tracked exactly, and so is
+    the sum, kept as an int of ns (``sum_ns``, each sample rounded to the
+    ns): the mean does not depend on the order or grouping of ``record``
+    calls.
     """
 
     def __init__(self) -> None:
         self.counts = [0] * _N_BUCKETS
         self.total_count = 0
         self.max_value = 0.0
-        self.sum_value = 0.0
+        self.sum_ns = 0  # each sample rounded to whole ns, so the sum is exact in any order
         self.clamped_count = 0
         # The last in-range sample and its bucket: simulated latencies
         # repeat, and the log in _bucket_index dominates record's cost.
@@ -141,9 +147,7 @@ class LatencyHistogram:
             self._last_index = idx
         self.counts[idx] += n
         self.total_count += n
-        # A float-by-int multiply costs the one-at-a-time path, which
-        # records every simulated request that reaches a worker.
-        self.sum_value += sample if n == 1 else sample * n
+        self.sum_ns += round(sample * 1e9) * n
         if sample > self.max_value:
             self.max_value = sample
 
@@ -165,13 +169,13 @@ class LatencyHistogram:
     def mean(self) -> float:
         if self.total_count == 0:
             raise EmptyHistogramError("no samples recorded")
-        return self.sum_value / self.total_count
+        return self.sum_ns / self.total_count / 1e9
 
     def merge(self, other: "LatencyHistogram") -> None:
         for i, c in enumerate(other.counts):
             self.counts[i] += c
         self.total_count += other.total_count
-        self.sum_value += other.sum_value
+        self.sum_ns += other.sum_ns
         self.clamped_count += other.clamped_count
         if other.max_value > self.max_value:
             self.max_value = other.max_value
@@ -308,6 +312,7 @@ def _run_load_simulated(
     errors = 0
     queue = background._queue if background is not None else ()
     latency_ns, latency = -1, 0.0  # the last latency seen, in ns and in seconds
+    run = 0  # requests since the last record that took ``latency`` and start at or after the cutoff
 
     # Invariant: a connection's clock reads its event time t when the event
     # is at the head, because the event was queued at conn.now() (and all
@@ -326,6 +331,9 @@ def _run_load_simulated(
             heappop(heap)
             continue
         if steady is not None and not queue and (state := steady(path)) is not None:
+            if run:
+                record(latency, run)
+                run = 0
             recorded = sum(_step_steady(conn, deadline, cutoff, state, hist, path) for conn in conn_clocks)
             if conn_clocks[i].now() > t:  # the head's request was fresh, so every fresh one ran
                 heap = [(conn.now(), j) for j, conn in enumerate(conn_clocks)]
@@ -344,9 +352,12 @@ def _run_load_simulated(
                 )
             if elapsed <= 0:
                 raise _took_no_time(path)
+            if run:
+                record(latency, run)
+                run = 0
             latency_ns, latency = elapsed, elapsed / 1e9
         if t >= cutoff:
-            record(latency)
+            run += 1
             total_bytes += len(resp.body)
             responses += 1
             if resp.status >= 400:
@@ -355,6 +366,8 @@ def _run_load_simulated(
             background.drain()
         heapreplace(heap, (now, i))
 
+    if run:
+        record(latency, run)
     clock.sleep(deadline - start)
     return _load_report(hist, total_bytes, responses, errors, cfg.duration - cfg.discard_first, cfg)
 

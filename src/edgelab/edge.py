@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 from .clock import SYSTEM_CLOCK, Clock, Scheduler, ThreadScheduler, to_ns
 from .content import Post
-from .ssg import INDEX_PATH, POST_PATH_PREFIX, RenderedPage, SiteBuild, render_index, render_post
+from .ssg import INDEX_PATH, POST_PATH_PREFIX, SiteBuild, render_index, render_post
 
 _NOT_FOUND_BODY = b"<!doctype html>\n<html><head><title>Not Found</title></head><body><main><h1>404 Not Found</h1></main></body></html>\n"
 _UPSTREAM_ERROR_BODY = b"<!doctype html>\n<html><head><title>Bad Gateway</title></head><body><main><h1>502 Bad Gateway</h1></main></body></html>\n"
@@ -117,7 +117,7 @@ class Response:
 
 @dataclass(slots=True)
 class CacheEntry:
-    page: RenderedPage
+    body: bytes
     fresh_until: int | None  # ns: a request that reads it by then is a HIT; None: never stale
     deploy_id: int
     hit: tuple[int, Response | None] = (-1, None)  # the last HIT served from this entry, by its elapsed ns
@@ -248,11 +248,10 @@ class EdgeWorker:
 
         if strategy is _SSR:
             try:
-                page = self._render(dep, path, clock)
+                body = dep.answers[path] = self._render(dep, path, clock)
             except UpstreamError:
                 return Response(502, _UPSTREAM_ERROR_BODY, (clock.now() - start) / 1e9, _BYPASS)
-            dep.answers[path] = page.body
-            return Response(200, page.body, (clock.now() - start) / 1e9, _BYPASS, deploy_id)
+            return Response(200, body, (clock.now() - start) / 1e9, _BYPASS, deploy_id)
 
         if self._kv:
             clock.sleep(self._kv)
@@ -265,21 +264,21 @@ class EdgeWorker:
                 elapsed = now - start
                 hit = entry.hit
                 if hit[0] != elapsed:
-                    hit = entry.hit = (elapsed, Response(200, entry.page.body, elapsed / 1e9, _HIT, entry.deploy_id))
+                    hit = entry.hit = (elapsed, Response(200, entry.body, elapsed / 1e9, _HIT, entry.deploy_id))
                 return hit[1]
             if strategy is _SWR:
                 # Serve the stale bytes now; refresh for later requests.
                 self._schedule_revalidation(path, key, clock)
-                return Response(200, entry.page.body, (clock.now() - start) / 1e9, _STALE, entry.deploy_id)
+                return Response(200, entry.body, (clock.now() - start) / 1e9, _STALE, entry.deploy_id)
             # ISR with a finite ttl treats stale as a miss: re-render inline.
 
         try:
-            page = self._render(dep, path, clock)
+            body = self._render(dep, path, clock)
         except UpstreamError:
             return Response(502, _UPSTREAM_ERROR_BODY, (clock.now() - start) / 1e9, _BYPASS)
         with self._lock:
-            self._cache[key] = self._entry(page, clock.now(), deploy_id)
-        return Response(200, page.body, (clock.now() - start) / 1e9, _MISS, deploy_id)
+            self._cache[key] = self._entry(body, clock.now(), deploy_id)
+        return Response(200, body, (clock.now() - start) / 1e9, _MISS, deploy_id)
 
     def steady(self, path: str) -> tuple[bytes, int, int | None] | None:
         """What a request for ``path`` gets now if it changes no state, or None if it may.
@@ -309,25 +308,25 @@ class EdgeWorker:
         entry = self._cache.get((path, dep.build.deploy_id) if self._by_deploy else path)
         if entry is None:
             return None
-        return entry.page.body, self._base + self._kv, entry.fresh_until
+        return entry.body, self._base + self._kv, entry.fresh_until
 
-    def _entry(self, page: RenderedPage, now: int, deploy_id: int) -> CacheEntry:
-        return CacheEntry(page, None if self._ttl is None else now + self._ttl, deploy_id)
+    def _entry(self, body: bytes, now: int, deploy_id: int) -> CacheEntry:
+        return CacheEntry(body, None if self._ttl is None else now + self._ttl, deploy_id)
 
-    def _render(self, dep: Deployment, path: str, clock: Clock) -> RenderedPage:
-        """Fetch content from the simulated origin and render the page.
+    def _render(self, dep: Deployment, path: str, clock: Clock) -> bytes:
+        """Fetch content from the simulated origin and render the page's bytes.
 
         The configured delay applies once per render, covering the
         origin round trip for the whole page.
         """
         clock.sleep(self._upstream)
         if path == INDEX_PATH:
-            return render_index(dep.posts)
+            return render_index(dep.posts).body
         slug = path.removeprefix(POST_PATH_PREFIX)
         post = dep.by_slug.get(slug)
         if post is None:
             raise UpstreamError(f"origin has no content for {path}")
-        return render_post(post)
+        return render_post(post).body
 
     def _schedule_revalidation(self, path: str, key: object, clock: Clock) -> None:
         with self._lock:
@@ -342,12 +341,12 @@ class EdgeWorker:
                 if dep is None:
                     return
                 try:
-                    page = self._render(dep, path, task_clock)
+                    body = self._render(dep, path, task_clock)
                 except UpstreamError:
                     # stale-if-error (RFC 5861): keep the stale entry; the
                     # next stale read schedules another attempt.
                     return
-                entry = self._entry(page, task_clock.now(), dep.build.deploy_id)
+                entry = self._entry(body, task_clock.now(), dep.build.deploy_id)
                 with self._lock:
                     self._cache[key] = entry
             finally:

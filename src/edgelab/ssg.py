@@ -13,6 +13,13 @@ page it makes anew is rendered when its ``body`` is first read
 (``content.Deferred``), to the bytes ``render_post`` gives, so a run
 renders (and draws the body of) only the posts it reads.
 
+Markup is made once per post: ``render_post`` keeps its page, and
+``render_index`` each post's ``<li>`` line, in the ``Post``'s instance
+dict (not a field, so ``==``, ``hash`` and ``repr`` do not change). An
+edited post is a new ``Post`` and renders anew. A build's page and every
+origin render of a post share one bytes object, and the edge worker
+still calls a render function once per origin render.
+
 A build keeps the posts it was rendered from. An incremental rebuild
 decides what to re-render by comparing each page's inputs with the
 previous build's: the ``Post`` itself for a post page and the
@@ -109,17 +116,28 @@ def post_path(post: Post) -> str:
     return f"{POST_PATH_PREFIX}{post.slug}"
 
 
+def _index_line(post: Post) -> str:
+    d = post.__dict__
+    line = d.get("_index_line")
+    if line is None:
+        line = d["_index_line"] = f'<li><a href="{POST_PATH_PREFIX}{post.slug}">{_escape(post.title)}</a></li>\n'
+    return line
+
+
 def render_index(posts: Iterable[Post]) -> RenderedPage:
-    """Index page at "/": one anchor per post, in id order."""
-    items = "".join(
-        f'<li><a href="{POST_PATH_PREFIX}{p.slug}">{_escape(p.title)}</a></li>\n' for p in posts
-    )
+    """Index page at "/": one anchor per post, in id order, each kept on its post."""
+    items = "".join(map(_index_line, posts))
     return RenderedPage(INDEX_PATH, _INDEX_TEMPLATE.format(items=items).encode())
 
 
 def render_post(post: Post) -> RenderedPage:
-    html = _POST_TEMPLATE.format(title=_escape(post.title), body=_escape(post.body))
-    return RenderedPage(post_path(post), html.encode())
+    """The page of ``post``, made on its first render and kept on the post."""
+    d = post.__dict__
+    page = d.get("_page")
+    if page is None:
+        html = _POST_TEMPLATE.format(title=_escape(post.title), body=_escape(post.body))
+        page = d["_page"] = RenderedPage(post_path(post), html.encode())
+    return page
 
 
 def _post_page_body(post: Post) -> bytes:

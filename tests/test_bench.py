@@ -154,14 +154,14 @@ def test_percentiles_track_oracle_and_stay_monotone(values):
 
 
 def reference_histogram(samples):
-    """counts, total, sum, max and clamped count with a bucket lookup for every sample."""
+    """counts, total, sum in ns, max and clamped count with a bucket lookup for every sample."""
     counts = [0] * len(LatencyHistogram().counts)
-    total_sum, maximum, clamped = 0.0, 0.0, 0
+    total_sum, maximum, clamped = 0, 0.0, 0
     for v in samples:
         in_range = min(max(v, HIST_LOW), HIST_HIGH)
         clamped += in_range != v
         counts[min(LatencyHistogram._bucket_index(in_range), len(counts) - 1)] += 1
-        total_sum += v
+        total_sum += round(v * 1e9)
         maximum = max(maximum, v)
     return counts, len(samples), total_sum, maximum, clamped
 
@@ -184,7 +184,7 @@ def test_repeated_sample_memo_matches_a_lookup_per_sample(runs):
     h = LatencyHistogram()
     for v in samples:
         h.record(v)
-    got = (h.counts, h.total_count, h.sum_value, h.max_value, h.clamped_count)
+    got = (h.counts, h.total_count, h.sum_ns, h.max_value, h.clamped_count)
     assert got == reference_histogram(samples)
 
 
@@ -206,7 +206,7 @@ def test_record_n_matches_n_records(runs):
     samples = [v for v, n in runs for _ in range(n)]
     counts, total, total_sum, maximum, clamped = reference_histogram(samples)
     assert (h.counts, h.total_count, h.max_value, h.clamped_count) == (counts, total, maximum, clamped)
-    assert h.sum_value == pytest.approx(total_sum, rel=1e-12, abs=1e-12)
+    assert h.sum_ns == total_sum
     one_by_one = LatencyHistogram()
     for v in samples:
         one_by_one.record(v)
@@ -340,6 +340,38 @@ def test_simulated_driver_matches_a_pop_then_push_loop(deadline, connections, de
     assert outcome == want_outcome
 
 
+@pytest.mark.parametrize("discard_first, want_records", [
+    (0.0, [(0.001, 3), (0.002, 2), (0.001, 1)]),
+    (0.0025, [(0.002, 2), (0.001, 1)]),  # the three 1 ms requests start before the cutoff
+])
+def test_a_run_of_equal_latencies_is_recorded_in_one_call(monkeypatch, discard_first, want_records):
+    # One connection whose requests take 1, 1, 1, 2, 2, 1 ms: six requests end at the 8 ms deadline.
+    delays = [1_000_000, 1_000_000, 1_000_000, 2_000_000, 2_000_000, 1_000_000]
+    cfg = BenchConfig(duration=0.008, connections=1, discard_first=discard_first)
+    records, real_record = [], LatencyHistogram.record
+
+    def spy(self, sample, n=1):
+        records.append((sample, n))
+        real_record(self, sample, n)
+
+    def load(driver):
+        calls = itertools.count()
+
+        def handle(path, clock):
+            clock.sleep(delays[next(calls)])
+            return Response(200, b"x", 0.0, CacheStatus.BYPASS)
+
+        return driver(handle, cfg, VirtualClock(), SerialScheduler())
+
+    monkeypatch.setattr(LatencyHistogram, "record", spy)
+    fast = load(run_load)
+    assert records == want_records
+    records.clear()
+    ref = load(heap_pop_push_load)
+    assert len(records) == sum(n for _, n in want_records) == fast.total_responses
+    assert fast == ref
+
+
 def run_capturing(driver, target, cfg, clock, background):
     """``driver``'s report or the error it raised, and the histogram its report was built from."""
     hists = []
@@ -418,7 +450,7 @@ def test_fast_forward_matches_a_loop_that_calls_the_worker_every_time(
         return
     assert (fast.total_responses, fast.error_count, fast.bytes_per_second, fast.percentiles) == (
         ref.total_responses, ref.error_count, ref.bytes_per_second, ref.percentiles)
-    assert fast.avg_latency == pytest.approx(ref.avg_latency, rel=1e-12, abs=0)
+    assert fast.avg_latency == ref.avg_latency
 
 
 def test_a_warm_run_answers_hits_without_calling_the_worker(posts10, build10):
@@ -456,7 +488,7 @@ def ssr_runs(monkeypatch, posts10, build10, path="/", origin=None, warm=True, **
     (fast, fast_renders, fast_calls), (ref, ref_renders, _) = runs
     assert (fast.total_responses, fast.error_count, fast.bytes_per_second, fast.percentiles) == (
         ref.total_responses, ref.error_count, ref.bytes_per_second, ref.percentiles)
-    assert fast.avg_latency == pytest.approx(ref.avg_latency, rel=1e-12, abs=0)
+    assert fast.avg_latency == ref.avg_latency
     return fast, fast_renders, fast_calls, ref_renders
 
 

@@ -129,3 +129,44 @@ def test_churn_figures_are_pinned(monkeypatch):
         # Every render is a miss or a revalidation, and every revalidation succeeds.
         assert figures["renders"] == statuses.get("MISS", 0) + figures["revalidations"], name
     assert got == PINNED
+
+
+def test_every_origin_render_calls_the_render_functions_through_deploy_purge_and_expiry(monkeypatch):
+    # A render's markup is made once per post, but the worker still calls
+    # render_post or render_index for every miss and every revalidation,
+    # including renders of a post it has rendered before.
+    calls = []
+    for name in ("render_index", "render_post"):
+        monkeypatch.setattr(edge, name, lambda source, _render=getattr(edge, name): calls.append(1) or _render(source))
+    posts = generate_posts(SEED, 4)
+    build = build_site(posts, built_at=0.0)
+    paths = [INDEX_PATH, *(post_path(p) for p in posts)]
+    for config in CONFIGS.values():
+        scheduler, clock = CountingScheduler(), VirtualClock()
+        worker = EdgeWorker(config, scheduler)
+        worker.deploy(build, posts)
+        calls.clear()
+        misses = 0
+
+        def request_all():
+            nonlocal misses
+            for path in paths:
+                resp = worker.handle_request(path, clock)
+                assert resp.body == bodies[path], path
+                misses += resp.cache_status is CacheStatus.MISS
+            scheduler.drain()
+
+        bodies = {path: page.body for path, page in build.pages.items()}
+        request_all()
+        request_all()  # hits
+        clock.sleep(1_500_000_000)  # past the ttl: ISR misses, SWR serves stale and revalidates
+        request_all()
+        edited = [*posts[:2], make_post(SEED + 1, 2), posts[3]]
+        rebuilt, _ = incremental_rebuild(build, edited, built_at=1.0)
+        worker.deploy(rebuilt, edited)
+        if config.strategy is not Strategy.DPR:
+            worker.purge_cache()
+        bodies = {path: page.body for path, page in rebuilt.pages.items()}
+        request_all()
+        assert len(calls) == misses + scheduler.submitted, config.strategy
+        assert len(calls) >= 2 * len(paths), config.strategy

@@ -4,7 +4,7 @@ import hashlib
 import re
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from html import escape
 
 import pytest
@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_content import MASK64, reference_post
 
+from edgelab.clock import SerialScheduler, VirtualClock
 from edgelab.content import Post, content_digest, generate_posts, make_post
+from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
 from edgelab.ssg import (
     RenderedPage,
     build_site,
@@ -236,5 +238,71 @@ def test_concurrent_first_reads_of_a_post_and_a_page_agree():
             assert errors == []
             assert seen == [(want_post.body, want_page.body)] * 8
             assert vars(post) == vars(want_post) and vars(page) == vars(want_page)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_post_is_rendered_once_and_an_edited_post_anew():
+    post = make_post(42, 3)
+    page = render_post(post)
+    assert render_post(post).body is page.body
+    index = render_index([post]).body
+    edited = replace(post, body="an edited <body>", title="A new & title")
+    assert render_post(edited).body == render_post(Post(3, "post-3", "A new & title", "an edited <body>")).body
+    assert b"an edited &lt;body&gt;" in render_post(edited).body
+    assert b"A new &amp; title" in render_index([edited]).body
+    assert render_post(post) is page and render_index([post]).body == index
+
+
+def test_a_build_and_an_origin_render_of_one_post_serve_one_bytes_object():
+    posts = generate_posts(42, 4)
+    build = build_site(posts, built_at=0.0)
+    worker = EdgeWorker(StrategyConfig(Strategy.ISR), SerialScheduler())
+    worker.deploy(build, posts)
+    clock = VirtualClock()
+    built = build.pages["/posts/post-1"].body  # the build's page read before the worker renders it
+    miss = worker.handle_request("/posts/post-1", clock)
+    assert miss.cache_status is CacheStatus.MISS and miss.body is built
+    miss = worker.handle_request("/posts/post-2", clock)  # and rendered by the worker first
+    assert miss.cache_status is CacheStatus.MISS and build.pages["/posts/post-2"].body is miss.body
+    assert worker.handle_request("/posts/post-2", clock).body is miss.body
+
+
+def test_rendering_a_post_leaves_its_value_alone():
+    post, twin = make_post(42, 5), make_post(42, 5)
+    render_post(post)
+    render_index([post])
+    assert post == twin and hash(post) == hash(twin)
+    assert repr(post) == repr(twin) and asdict(post) == asdict(twin)
+
+
+def test_concurrent_first_renders_of_a_post_agree():
+    # Eight threads make the first render of one fresh post, and of an
+    # index of fresh posts, at once.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for post_id in range(20):
+            want_post = render_post(reference_post(42, post_id, 50, 500)).body
+            want_index = render_index([reference_post(42, i, 50, 500) for i in range(post_id + 1)]).body
+            post, posts = make_post(42, post_id), generate_posts(42, post_id + 1)
+            start = threading.Barrier(8)
+            seen, errors = [], []
+
+            def first_render():
+                try:
+                    start.wait(timeout=5)
+                    seen.append((render_post(post).body, render_index(posts).body))
+                except Exception as exc:  # reported below with the thread's peers
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=first_render) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert seen == [(want_post, want_index)] * 8
     finally:
         sys.setswitchinterval(interval)
