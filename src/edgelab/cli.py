@@ -3,8 +3,7 @@
 Commands
 --------
 build        render the site to disk and write/refresh a build manifest
-serve        serve each configured variant on its own port (plus an
-             optional raw content API) until interrupted
+serve        serve each configured variant on its own port until interrupted
 bench        one sustained load run against a URL or in-process variant
 audit        first-vs-warm audits of the configured pages, or of one page
 experiment   audits + load runs for every variant; writes audit.md,
@@ -43,7 +42,7 @@ from .experiment import (
     tables_from_summary,
     write_reports,
 )
-from .httpserve import ContentServer, VariantServer
+from .httpserve import VariantServer
 from .ssg import build_site, export_site
 
 EXIT_OK = 0
@@ -136,20 +135,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    last_port = cfg.base_port + len(cfg.variants) - 1 + args.content_api
+    last_port = cfg.base_port + len(cfg.variants) - 1
     if last_port > 65535:
         raise ConfigError(f"ports {cfg.base_port}-{last_port} are not all within 1-65535")
     build = make_site(cfg)
 
-    servers: list[tuple[str, str, VariantServer | ContentServer]] = []
+    servers: list[tuple[str, str, VariantServer]] = []
     try:
         try:
             for port, variant in enumerate(cfg.variants, cfg.base_port):
                 worker, _, _ = deployed(variant, build)
                 server = VariantServer(worker, args.host, port)
                 servers.append((variant.name, variant.config.strategy.value, server))
-            if args.content_api:
-                servers.append(("content", "content-api", ContentServer(build.posts, host=args.host, port=last_port)))
         except OSError as exc:
             if exc.errno in (errno.EADDRINUSE, errno.EACCES):
                 print(f"error: cannot bind: {exc}", file=sys.stderr)
@@ -270,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", parents=[common], help="serve every variant over HTTP")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--base-port", type=int, help="first port (default from config)")
-    p.add_argument("--content-api", action="store_true", help="also serve the raw content API")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("bench", parents=[common], help="run one sustained load run")

@@ -40,9 +40,6 @@ the exact remainder of Lemire, Kaser & Kurz (2019),
 64 >= 40 + 8. Every product stays below 2**104, inside its lane, and
 the remainder, below n <= 256, is one byte of its lane: that byte
 indexes the lexicon directly, with no per-word unpack or ``%``.
-
-The content API that serves these posts over HTTP is
-``httpserve.ContentServer``; it serves whatever list it is given.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""HTTP/1.1 at both ends of a served variant: the servers and the load client.
+"""HTTP/1.1 at both ends of a served variant: the server and the load client.
 
 Each served variant exposes its worker on one port (an IPv6 literal
 host such as ``::1`` binds IPv6). A GET's page, which is also its cache
 key, is the request path without its query string and without one
 trailing slash: ``/posts/post-1/?utm=x`` is ``/posts/post-1``, and ``/``
-stays ``/``. No page of the site depends on the query. The content API
-reads its paths by the same rule (``request_page``). Responses carry
+stays ``/``. No page of the site depends on the query. Responses carry
 two diagnostic headers, read by the load client here and by external
 tools:
 
@@ -15,14 +14,6 @@ tools:
 Admin endpoints (POST, paths read by the same rule): ``/__admin/purge``
 empties the cache and returns ``{"removed": n}``; ``/__admin/cold``
 makes the next request pay the cold-start penalty.
-
-The content API serves the posts it is given over HTTP: ``GET /posts``
-returns the full list, ``GET /posts/<id>`` one post, both as JSON
-objects with fields ``id``, ``slug``, ``title``, ``body``. Each body is
-encoded once, when the server is made. A post is found only at its id
-in canonical decimal (``/posts/3``, not ``/posts/03``), and a
-single-post fetch waits the server's ``delay`` first, standing in for
-the server-side work behind a real content API.
 
 Framing: HTTP/1.0 and HTTP/1.1 only (HTTP/0.9 gets 400, other versions
 505), keep-alive unless the message says ``Connection: close`` or is
@@ -62,15 +53,13 @@ import socketserver
 import sys
 import threading
 import time
-from dataclasses import asdict
 from functools import lru_cache
 from http import HTTPStatus
-from typing import Callable, Generator, Iterable, Iterator
+from typing import Callable, Generator, Iterator
 from urllib.parse import urlsplit
 
 from . import __version__
 from .clock import SYSTEM_CLOCK, Clock
-from .content import Post
 from .edge import CacheStatus, EdgeWorker, Response
 
 # Head limits at the stdlib's values: 100 header lines, 65,536 bytes a line
@@ -316,13 +305,15 @@ def respond(
     return _reply(status, body, fields), close, size, expect_continue
 
 
-class _SilentHandler(socketserver.BaseRequestHandler):
-    """One connection: receive a request head, answer it with ``respond`` and the subclass's ``route``; repeat.
+class _VariantHandler(socketserver.BaseRequestHandler):
+    """One connection to a variant: receive a request head, answer it with ``respond`` and ``route``; repeat.
 
     Bytes received past a head (a body, a pipelined request) stay in
     ``_buf`` for the next read. A peer that goes away ends the connection
     without a traceback.
     """
+
+    server: VariantServer
 
     def setup(self) -> None:
         # Each response is one sendall; Nagle stays off so none waits on a delayed ACK.
@@ -361,10 +352,6 @@ class _SilentHandler(socketserver.BaseRequestHandler):
         # from a received head to the sent reply without the wait for the head.
         return respond(self._head, self.route)
 
-
-class _VariantHandler(_SilentHandler):
-    server: VariantServer
-
     def route(self, method: str, page: str) -> tuple[int, bytes, tuple[bytes, ...]]:
         worker = self.server.worker
         if method == "GET":
@@ -381,24 +368,8 @@ class _VariantHandler(_SilentHandler):
         return 404, b'{"error": "unknown admin endpoint"}', (_JSON,)
 
 
-class _ContentHandler(_SilentHandler):
-    server: ContentServer
-
-    def route(self, method: str, page: str) -> tuple[int, bytes, tuple[bytes, ...]]:
-        if method != "GET":
-            raise HeadError(f"Unsupported method ({method!r})", 501)
-        if page == "/posts":
-            return 200, self.server.list_body, (_JSON,)
-        if not page.startswith("/posts/"):
-            return 404, b'{"error": "not found"}', (_JSON,)
-        if (body := self.server.post_bodies.get(page.removeprefix("/posts/"))) is None:
-            return 404, b'{"error": "no such post"}', (_JSON,)
-        time.sleep(self.server.delay)
-        return 200, body, (_JSON,)
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    """A threading TCP server that binds IPv6 for an IPv6 literal and serves on its own daemon thread.
+class VariantServer(socketserver.ThreadingTCPServer):
+    """Serves one worker on its own daemon thread. Port 0 binds an ephemeral port; an IPv6 literal binds IPv6.
 
     It tracks open connections, so a stop can end them.
     """
@@ -406,11 +377,12 @@ class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True  # as http.server's servers set them
     daemon_threads = True
 
-    def __init__(self, handler_cls: type[_SilentHandler], host: str, port: int):
+    def __init__(self, worker: EdgeWorker, host: str = "127.0.0.1", port: int = 0):
+        self.worker = worker
         self.address_family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self.open_connections: set[socket.socket] = set()
         self._serving: threading.Thread | None = None
-        super().__init__((host, port), handler_cls)
+        super().__init__((host, port), _VariantHandler)
 
     @property
     def port(self) -> int:
@@ -448,27 +420,6 @@ class _Server(socketserver.ThreadingTCPServer):
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-class VariantServer(_Server):
-    """Serves one worker. Port 0 binds an ephemeral port."""
-
-    def __init__(self, worker: EdgeWorker, host: str = "127.0.0.1", port: int = 0):
-        self.worker = worker
-        super().__init__(_VariantHandler, host, port)
-
-
-class ContentServer(_Server):
-    """Content API serving ``posts``; a single-post GET waits ``delay`` seconds first."""
-
-    def __init__(self, posts: Iterable[Post], delay: float = 0.1, host: str = "127.0.0.1", port: int = 0):
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
-        encoded = [(str(p.id), json.dumps(asdict(p)).encode()) for p in posts]
-        self.list_body = b"[" + b", ".join(body for _, body in encoded) + b"]"
-        self.post_bodies = dict(encoded)  # keyed by post id in canonical decimal
-        self.delay = delay
-        super().__init__(_ContentHandler, host, port)
 
 
 class TargetUnreachableError(RuntimeError):

@@ -4,7 +4,7 @@ import signal
 import pytest
 
 from edgelab.content import generate_posts
-from edgelab.edge import EdgeWorker, Strategy, StrategyConfig
+from edgelab.edge import EdgeWorker, StrategyConfig
 from edgelab.ssg import build_site
 
 

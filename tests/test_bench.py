@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from edgelab import bench, edge
 from edgelab.bench import (
-    HIST_GROWTH,
     HIST_HIGH,
     HIST_LOW,
     PERCENTILE_POINTS,
@@ -620,6 +619,34 @@ def test_a_long_steady_run_is_exact_and_costs_one_jump(worker_factory, deadline,
     assert report.total_responses == responses
     assert report.percentiles[50.0] == pytest.approx(base_handling, rel=0.01)
     assert report.percentiles[100.0] == base_handling
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_simulated_run_scales_with_its_times(posts10, build10, strategy):
+    """Every delay, ttl, duration and discard_first times k: the same responses, k times the latency sum.
+
+    Times are whole ns, so nothing rounds differently at k; the sum is
+    compared in ns, as ``avg_latency`` may differ from k times its value
+    in the last place. A fixed cost per request that does not scale breaks it.
+    """
+    def run(connections, page, cold_ns, discard_ns, k):
+        s = lambda ns: ns * k / 1e9
+        scheduler = SerialScheduler()
+        worker = EdgeWorker(StrategyConfig(
+            strategy=strategy, upstream_delay=s(20_000_000), cold_start_penalty=s(cold_ns),
+            ttl=s(300_000_000) if strategy in (Strategy.ISR, Strategy.SWR) else None,
+            base_handling=s(1_000_000), kv_read_delay=s(500_000),
+        ), scheduler)
+        worker.deploy(build10, posts10)
+        cfg = BenchConfig(duration=s(2_000_000_000), connections=connections, target_path=page,
+                          discard_first=s(discard_ns))
+        report = run_load(worker, cfg, VirtualClock(), scheduler)
+        return report.total_responses, report.error_count, round(report.avg_latency * report.total_responses * 1e9)
+
+    for case in itertools.product((1, 3, 10), ("/", "/posts/post-1"), (0, 50_000_000, 300_000_000), (0, 250_000_000)):
+        responses, errors, latency_ns = run(*case, 1)
+        for k in (2, 7):
+            assert run(*case, k) == (responses, errors, latency_ns * k), (case, k)
 
 
 @pytest.mark.parametrize("field", ["duration", "discard_first"])

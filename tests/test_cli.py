@@ -553,11 +553,18 @@ def test_serve_port_taken_exits_4(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--base-port", "70000"], ["--base-port", "65535"], ["--base-port", "0"],
-                                  ["--base-port", "65533", "--content-api"]])
+                                  ["--base-port", "65534"]])
 def test_serve_ports_outside_1_to_65535_are_config_errors(argv, capsys, deadline):
     with deadline(10.0):
         assert main(["serve", *argv]) == 2
     assert "65535" in capsys.readouterr().err
+
+
+def test_serve_has_no_content_api_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(["serve", "--content-api"])
+    assert exc.value.code == 2
+    assert "--content-api" in capsys.readouterr().err
 
 
 def test_serve_exits_4_when_a_later_port_is_taken(capsys, deadline):

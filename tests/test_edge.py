@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from edgelab.clock import SerialScheduler, VirtualClock
-from edgelab.content import Deferred, generate_posts
+from edgelab.content import Deferred
 from edgelab.edge import (
     CacheStatus,
     EdgeWorker,

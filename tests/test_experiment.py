@@ -16,7 +16,6 @@ from edgelab.experiment import (
     make_site,
     page_label,
     run_experiment,
-    tables_from_summary,
     write_reports,
 )
 

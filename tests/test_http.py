@@ -1,4 +1,4 @@
-"""HTTP layer: variant servers, admin endpoints, the content API."""
+"""HTTP layer: variant servers, admin endpoints, the wire rules and the load client."""
 
 import contextlib
 import email.utils
@@ -10,7 +10,6 @@ import json
 import socket
 import threading
 import time
-from dataclasses import asdict, replace
 from http.client import HTTPConnection
 from pathlib import Path
 
@@ -22,9 +21,8 @@ from edgelab import httpserve
 from edgelab.bench import BenchConfig, ResetPolicy, TargetUnreachableError, run_audit, run_load
 from edgelab.cli import main
 from edgelab.clock import SYSTEM_CLOCK
-from edgelab.content import generate_posts, make_post
 from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
-from edgelab.httpserve import ContentServer, VariantServer, _HttpTarget
+from edgelab.httpserve import VariantServer, _HttpTarget
 
 pytestmark = pytest.mark.wallclock
 
@@ -209,77 +207,13 @@ def test_serves_ipv6_literal_host(posts10, build10):
     assert rep.cache_statuses == ("MISS", "HIT", "HIT")
 
 
-def test_content_api_list_and_single_post():
-    with ContentServer(generate_posts(5, 10), delay=0.0) as server:
-        status, body, _ = _get(server, "/posts")
-        assert status == 200
-        items = json.loads(body)
-        assert len(items) == 10
-        assert items[3]["slug"] == "post-3"
-
-        status, body, _ = _get(server, "/posts/7")
-        assert status == 200
-        got = json.loads(body)
-        want = make_post(5, 7)
-        assert got["title"] == want.title
-        assert got["body"] == want.body
-
-
-def test_content_api_serves_exactly_the_snapshot_it_is_given():
-    posts = generate_posts(5, 4)
-    posts[2] = replace(posts[2], title="Edited", body="edited body")
-    with ContentServer(posts, delay=0.0) as server:
-        assert _get(server, "/posts")[:2] == (200, json.dumps([asdict(p) for p in posts]).encode())
-        for post in posts:
-            assert _get(server, f"/posts/{post.id}")[:2] == (200, json.dumps(asdict(post)).encode())
-
-
-def test_content_api_single_post_pays_the_delay_and_the_list_does_not():
-    with ContentServer(generate_posts(5, 3), delay=0.05) as server:
-        conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
-        try:
-            elapsed = {}
-            for path in ("/posts/1", "/posts"):
-                t0 = time.perf_counter()
-                conn.request("GET", path)
-                assert conn.getresponse().read()
-                elapsed[path] = time.perf_counter() - t0
-        finally:
-            conn.close()
-    assert elapsed["/posts/1"] >= 0.05
-    assert elapsed["/posts"] < 0.05
-
-
-def test_content_server_rejects_a_negative_delay():
-    with pytest.raises(ValueError, match="delay"):
-        ContentServer(generate_posts(5, 3), delay=-0.1)
-
-
-@pytest.mark.parametrize(
-    "target, plain",
-    [("/posts?x=1", "/posts"), ("/posts/", "/posts"), ("/posts/1?x=1", "/posts/1"), ("/posts/1/", "/posts/1")],
-)
-def test_content_api_reads_targets_like_the_variant_servers(target, plain):
-    with ContentServer(generate_posts(5, 3), delay=0.0) as server:
-        status, body, _ = _get(server, target)
-        assert (status, body) == _get(server, plain)[:2]
-    assert status == 200
-
-
-@pytest.mark.parametrize("raw_id", ["1_0", "+3", "03", "٣", "-0"])
-def test_content_api_serves_a_post_only_at_its_canonical_id(raw_id):
-    with ContentServer(generate_posts(5, 20), delay=0.0) as server:
-        request = f"GET /posts/{raw_id} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-        [(status, _, _)] = _responses(_exchange(server, request.encode()))
-        assert status == 404
-        assert [_get(server, f"/posts/{i}")[0] for i in ("0", "3", "10")] == [200, 200, 200]
-
-
-def test_server_stops_promptly():
-    server = ContentServer(generate_posts(5, 3), delay=0.0)
+def test_server_stops_promptly(posts10, build10):
+    worker = EdgeWorker(StrategyConfig(strategy=Strategy.STATIC))
+    worker.deploy(build10, posts10)
+    server = VariantServer(worker)
     server.start()
     try:
-        statuses = [_get(server, "/posts/1")[0] for _ in range(3)]
+        statuses = [_get(server, "/posts/post-1")[0] for _ in range(3)]
     finally:
         t0 = time.perf_counter()
         server.stop()
@@ -293,14 +227,6 @@ def test_server_never_started_stops(posts10, build10, deadline):
     worker.deploy(build10, posts10)
     with deadline(5.0):
         VariantServer(worker).stop()
-
-
-def test_content_api_not_found():
-    with ContentServer(generate_posts(5, 10), delay=0.0) as server:
-        assert _get(server, "/posts/10")[0] == 404
-        assert _get(server, "/posts/-1")[0] == 404
-        assert _get(server, "/posts/banana")[0] == 404
-        assert _get(server, "/other")[0] == 404
 
 
 # ------------------------------------------------ the server, over a raw socket
