@@ -38,6 +38,18 @@ wait up to ``_TIMEOUT``. On the server, each connection is a loop: receive a hea
 to it (bytes in, bytes out, no socket), send ``100 Continue`` if asked,
 skip the body, and ``sendall`` the reply. A refused request is a
 ``HeadError`` carrying its status, 501 included.
+
+Each end reads a distinct head once per process. Every request head
+edgelab's client sends for one path is byte-identical, and a variant's
+reply head changes only with its ``Date`` second and its
+``x-server-time-us``; so the server keeps what it takes from a request
+head (``_request_of``) and the client what it takes from a reply head
+(``_reply_of``) in a ``functools.lru_cache`` of ``_MEMO_HEADS`` heads
+each. Only heads of at most ``_MEMO_HEAD_BYTES`` bytes are kept, so each
+memo holds under 200 KiB; a longer head is read anew each time
+(``__wrapped__``). A head that gets a fault is never kept: it raises on
+every read, and the route, the worker and the ``Date`` field stay live
+on every request.
 """
 
 from __future__ import annotations
@@ -78,6 +90,12 @@ _WHITESPACE = " \t\r\x0b\x0c"  # what bytes.strip() strips, less the LF no line 
 _HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
 # How often ``serve_forever`` checks for a stop request: ``stop`` waits up to this long.
 _POLL_INTERVAL = 0.01
+# The head memos at both ends: how many heads each keeps, and the longest head it keeps. A reply
+# head changes with its Date second and its measured x-server-time-us (about 16 heads a second from
+# a STATIC variant over loopback), so 128 heads hold the last few seconds' heads; 1,024 also held a
+# 30 s run's stale heads and raised its peak RSS by 0.23 MB.
+_MEMO_HEADS = 128
+_MEMO_HEAD_BYTES = 1024
 
 
 class HeadError(ValueError):
@@ -86,6 +104,8 @@ class HeadError(ValueError):
     400 if malformed, 414 or 431 for a line over its limit, 413 for a body over ``MAX_BODY``,
     505 for an unsupported version, 501 for ``Transfer-Encoding`` or a method the route does not serve.
     """
+
+    method: str | None = None  # the request's method, set once its request line and version are sound
 
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
@@ -269,36 +289,57 @@ def _error(exc: HeadError, method: str | None = None) -> bytes:
     return _reply(exc.status, body, (_TEXT, _CLOSE))
 
 
+@lru_cache(maxsize=_MEMO_HEADS)
+def _request_of(head: bytes) -> tuple[str, str, int, bool, bool] | None:
+    """What a request head asks: ``(method, page, body_length, close, expect_continue)``, None for blanks.
+
+    The request line, version, headers and body framing are checked;
+    ``HeadError`` for a fault, carrying the method once the request line
+    and version are sound. Memoized: see the module docstring.
+    """
+    requestline, headers = parse_head(head)
+    words = requestline.split()
+    if not words:
+        return None
+    if len(words) != 3:
+        raise HeadError(f"Bad request syntax ({requestline!r})")
+    if (version := words[2]) not in ("HTTP/1.1", "HTTP/1.0"):
+        raise HeadError(f"Bad request version ({version!r})", 505 if _HTTP_VERSION.fullmatch(version) else 400)
+    method, target = words[:2]
+    try:
+        size, close = _framing(version, headers, MAX_BODY)
+    except HeadError as exc:
+        exc.method = method
+        raise
+    expect_continue = version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue"
+    # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
+    page = request_page("/" + target.lstrip("/") if target.startswith("//") else target)
+    return method, page, size, close, expect_continue
+
+
 def respond(
     head: bytes, route: Callable[[str, str], tuple[int, bytes, tuple[bytes, ...]]]
 ) -> tuple[bytes, bool, int, bool]:
     """Answer one request head, no socket involved: ``(reply, close, body_length, expect_continue)``.
 
     ``head`` is what ``receive_head`` returns. The request line, version,
-    headers and body framing are checked, a fault is answered in plain
-    text with a close, and ``route(method, page)`` answers the rest: it
-    returns ``(status, body, fields)``, each field a CRLF-ended header
-    line, or raises ``HeadError(..., 501)`` for a method it does not serve.
-    ``reply`` is empty for a request line of blanks, which gets no answer.
-    The caller sends ``100 Continue`` first if ``expect_continue``, then
-    skips ``body_length`` bytes of request body, then sends ``reply``.
+    headers and body framing are checked by ``_request_of``, a fault is
+    answered in plain text with a close, and ``route(method, page)``
+    answers the rest: it returns ``(status, body, fields)``, each field a
+    CRLF-ended header line, or raises ``HeadError(..., 501)`` for a method
+    it does not serve. ``reply`` is empty for a request line of blanks,
+    which gets no answer. The caller sends ``100 Continue`` first if
+    ``expect_continue``, then skips ``body_length`` bytes of request body,
+    then sends ``reply``.
     """
-    method = None  # known once the request line and version are sound
-    size, expect_continue = 0, False
     try:
-        requestline, headers = parse_head(head)
-        words = requestline.split()
-        if not words:
-            return b"", True, 0, False
-        if len(words) != 3:
-            raise HeadError(f"Bad request syntax ({requestline!r})")
-        if (version := words[2]) not in ("HTTP/1.1", "HTTP/1.0"):
-            raise HeadError(f"Bad request version ({version!r})", 505 if _HTTP_VERSION.fullmatch(version) else 400)
-        method, target = words[:2]
-        size, close = _framing(version, headers, MAX_BODY)
-        expect_continue = version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue"
-        # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
-        page = request_page("/" + target.lstrip("/") if target.startswith("//") else target)
+        request = (_request_of if len(head) <= _MEMO_HEAD_BYTES else _request_of.__wrapped__)(head)
+    except HeadError as exc:
+        return _error(exc, exc.method), True, 0, False
+    if request is None:
+        return b"", True, 0, False
+    method, page, size, close, expect_continue = request
+    try:
         status, body, fields = route(method, page)
     except HeadError as exc:
         return _error(exc, method), True, size, expect_continue
@@ -428,8 +469,10 @@ class TargetUnreachableError(RuntimeError):
 
 # How long the client waits on a socket, for a connect, the room to send or the next bytes of a reply.
 _TIMEOUT = 30.0
-# How a request ends: the reply's status, headers and body, or the fault that ended its connection.
-_Outcome = tuple[int, dict[str, str], bytes] | TargetUnreachableError
+# What the client takes from a reply head: status, body length, close, server time (None without one), cache status.
+_Reply = tuple[int, int, bool, float | None, CacheStatus]
+# How a request ends: the reply's head and body, or the fault that ended its connection.
+_Outcome = tuple[_Reply, bytes] | TargetUnreachableError
 
 
 def _host_port(url: str) -> tuple[str, int]:
@@ -451,10 +494,14 @@ def _host_port(url: str) -> tuple[str, int]:
     return split.hostname, 80 if port is None else port
 
 
-def _reply_head(head: bytes) -> tuple[int, dict[str, str], int, bool]:
-    """A response head's ``(status, headers, body length, close)``, read by the server's codec and ``_framing``.
+@lru_cache(maxsize=_MEMO_HEADS)
+def _reply_of(head: bytes) -> _Reply:
+    """What a response head says, read by the server's codec and ``_framing``; memoized as ``_request_of``.
 
-    A response must be framed by ``content-length``; ``ValueError`` for one that breaks HTTP/1.1.
+    The server time is x-server-time-us in seconds, None without that
+    header, and the cache status is x-edge-cache, BYPASS without it.
+    ``ValueError`` for a response that breaks HTTP/1.1, one not framed by
+    ``content-length``, or a bad value of either diagnostic header.
     """
     status_line, headers = parse_head(head)
     if (status := _STATUS_LINE.match(status_line)) is None:
@@ -462,23 +509,21 @@ def _reply_head(head: bytes) -> tuple[int, dict[str, str], int, bool]:
     if "content-length" not in headers:
         raise ValueError("response not framed by content-length")
     n, close = _framing(status[1], headers, sys.maxsize)
-    return int(status[2]), headers, n, close
-
-
-def _page_response(path: str, status: int, headers: dict[str, str], body: bytes, elapsed: float) -> Response:
-    """A GET's reply as the worker's ``Response``: its server time from x-server-time-us, else ``elapsed`` seconds."""
-    server_us = headers.get(_SERVER_TIME_HEADER)
-    if server_us is None:
-        server_time = elapsed
-    elif _MICROSECONDS.fullmatch(server_us):
+    server_time = None
+    if (server_us := headers.get(_SERVER_TIME_HEADER)) is not None:
+        if not _MICROSECONDS.fullmatch(server_us):
+            raise ValueError(f"a bad {_SERVER_TIME_HEADER}: {server_us!r}")
         server_time = int(server_us) / 1e6
-    else:
-        raise TargetUnreachableError(f"target answered {path} with a bad {_SERVER_TIME_HEADER}: {server_us!r}")
     cache_header = headers.get(_CACHE_HEADER, "BYPASS")
-    cache_status = _CACHE_STATUSES.get(cache_header)
-    if cache_status is None:
-        raise TargetUnreachableError(f"target answered {path} with an unknown {_CACHE_HEADER}: {cache_header!r}")
-    return Response(status, body, server_time, cache_status)
+    if (cache_status := _CACHE_STATUSES.get(cache_header)) is None:
+        raise ValueError(f"an unknown {_CACHE_HEADER}: {cache_header!r}")
+    return int(status[2]), n, close, server_time, cache_status
+
+
+def _page_response(reply: _Reply, body: bytes, elapsed: float) -> Response:
+    """A GET's reply as the worker's ``Response``: its server time, else ``elapsed`` seconds."""
+    status, _, _, server_time, cache_status = reply
+    return Response(status, body, elapsed if server_time is None else server_time, cache_status)
 
 
 class _HttpTarget:
@@ -486,7 +531,7 @@ class _HttpTarget:
 
     Each request is a step of one generator (``_exchange``): it connects
     if need be, sends the request, reads the head with ``_read_head`` and
-    the body as ``_reply_head`` frames it, and it stops at each wait for
+    the body as ``_reply_of`` frames it, and it stops at each wait for
     its socket. The socket is non-blocking and stays registered on
     ``selector`` for the event the exchange waits on, so one thread can
     drive many targets on one selector with ``begin`` and ``advance``
@@ -569,7 +614,7 @@ class _HttpTarget:
 
         It yields None at each wait for the socket; a wait that has lasted
         too long is ended by throwing ``TimeoutError`` in. Then it yields
-        the request's outcome: the reply's ``(status, headers, body)``, or
+        the request's outcome: the reply's ``(_reply_of(head), body)``, or
         the ``TargetUnreachableError`` that ended it.
         """
         outcome: _Outcome | None = None
@@ -589,7 +634,8 @@ class _HttpTarget:
                         yield
                     self._wait_for(selectors.EVENT_READ)
                     head, rest = yield from _read_head(self._recv, self._buf)
-                    status, headers, n, close = _reply_head(head)
+                    reply = (_reply_of if len(head) <= _MEMO_HEAD_BYTES else _reply_of.__wrapped__)(head)
+                    _, n, close, _, _ = reply
                     if len(rest) < n:
                         chunks, received = [rest], len(rest)
                         while received < n:
@@ -599,7 +645,7 @@ class _HttpTarget:
                             chunks.append(chunk)
                             received += len(chunk)
                         rest = b"".join(chunks)
-                    outcome, self._buf = (status, headers, rest[:n]), rest[n:]
+                    outcome, self._buf = (reply, rest[:n]), rest[n:]
                     if close:
                         self._hang_up()
                 except (OSError, ValueError) as exc:
@@ -619,7 +665,7 @@ class _HttpTarget:
         """Take the request on once the socket is ready, or end its wait with ``fault``: as ``begin``."""
         return next(self._exchanges) if fault is None else self._exchanges.throw(fault)
 
-    def _request(self, method: str, path: str) -> tuple[int, dict[str, str], bytes]:
+    def _request(self, method: str, path: str) -> tuple[_Reply, bytes]:
         outcome = self.begin(method, path)
         while outcome is None:
             outcome = self.advance(None if self._selector.select(_TIMEOUT) else TimeoutError("timed out"))
@@ -629,11 +675,11 @@ class _HttpTarget:
 
     def handle_request(self, path: str, clock: Clock) -> Response:
         t0 = clock.now()
-        status, headers, body = self._request("GET", path)
-        return _page_response(path, status, headers, body, (clock.now() - t0) / 1e9)
+        reply, body = self._request("GET", path)
+        return _page_response(reply, body, (clock.now() - t0) / 1e9)
 
     def purge_cache(self) -> int:
-        status, _, body = self._request("POST", _PURGE)
+        (status, *_), body = self._request("POST", _PURGE)
         if status != 200:
             raise TargetUnreachableError(f"purge failed with status {status}")
         try:
@@ -645,7 +691,7 @@ class _HttpTarget:
         return removed
 
     def cold_worker(self) -> None:
-        status, _, _ = self._request("POST", _COLD)
+        (status, *_), _ = self._request("POST", _COLD)
         if status != 200:
             raise TargetUnreachableError(f"cold reset failed with status {status}")
 
@@ -680,10 +726,7 @@ def _closed_loop(
                 while outcome is not None:  # the request ended: record it and send the next
                     done = perf_counter()
                     if not isinstance(outcome, TargetUnreachableError):
-                        try:
-                            outcome = _page_response(path, *outcome, done - sent[target])
-                        except TargetUnreachableError as exc:
-                            outcome = exc
+                        outcome = _page_response(*outcome, done - sent[target])
                     yield sent[target], done, outcome
                     if isinstance(outcome, TargetUnreachableError) or (t0 := perf_counter()) >= deadline:
                         target.close()

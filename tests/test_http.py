@@ -7,11 +7,15 @@ import importlib.util
 import io
 import itertools
 import json
+import re
 import socket
+import sys
 import threading
 import time
+from functools import lru_cache
 from http.client import HTTPConnection
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from edgelab import httpserve
 from edgelab.bench import BenchConfig, ResetPolicy, TargetUnreachableError, run_audit, run_load
 from edgelab.cli import main
-from edgelab.clock import SYSTEM_CLOCK
+from edgelab.clock import SYSTEM_CLOCK, VirtualClock
 from edgelab.edge import CacheStatus, EdgeWorker, Strategy, StrategyConfig
 from edgelab.httpserve import VariantServer, _HttpTarget
 
@@ -829,6 +833,231 @@ def test_a_malformed_line_before_an_oversized_one_gets_400_over_a_socket(isr_ser
 )
 def test_request_page(target, page):
     assert httpserve.request_page(target) == page
+
+
+# ------------------------------------------------ the head memos
+
+
+def _route(method, page):
+    """An answer that names what it was asked; 501 for a method other than GET and POST."""
+    if method not in ("GET", "POST"):
+        raise httpserve.HeadError(f"Unsupported method ({method!r})", 501)
+    return 200, f"{method} {page}".encode(), (httpserve._TEXT,)
+
+
+_DATE_FIELD = re.compile(rb"\r\nDate: [^\r]*")
+
+
+def _answer(head):
+    """``respond``'s answer to ``head``, its ``Date`` field left out: it may cross a second."""
+    reply, *rest = httpserve.respond(head, _route)
+    return _DATE_FIELD.sub(b"", reply), *rest
+
+
+def _unmemoized_answer(head):
+    """``_answer`` with a memo that keeps nothing."""
+    with mock.patch.object(httpserve, "_request_of", lru_cache(maxsize=0)(httpserve._request_of.__wrapped__)):
+        return _answer(head)
+
+
+def _read(read, head):
+    """What ``read`` takes from ``head``, or the fault it raises."""
+    try:
+        return read(head)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "status", None), getattr(exc, "method", None), str(exc)
+
+
+_request_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(["GET", "POST", "HEAD", "PUT"]),
+        st.sampled_from(["/", "/posts/post-1/?utm=x", "//h/a", "http://h:1/a/", "*"]),
+        st.sampled_from([" HTTP/1.1", " HTTP/1.0", " HTTP/2.0", " HTTP/x", ""]),
+    ).map(lambda t: f"{t[0]} {t[1]}{t[2]}".encode()),
+    st.sampled_from([b"   ", b"GARBAGE"]),
+)
+_request_fields = st.lists(
+    st.sampled_from(
+        [b"Connection: close", b"Connection: keep-alive", b"Expect: 100-continue", b"Content-Length: 5",
+         b"Content-Length: 2000000", b"Content-Length: -1", b"Transfer-Encoding: chunked"]
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    line=_request_lines,
+    variants=st.lists(st.tuples(_request_fields, _any_lines), min_size=2, max_size=4),
+    line_end=_line_ends,
+)
+def test_a_memoized_request_head_is_answered_as_an_unmemoized_one(line, variants, line_end):
+    # Heads that share a request line in turn: one kept head must not answer for another.
+    # At most ten arbitrary lines a head, so that most heads fit the memo.
+    httpserve._request_of.cache_clear()
+    for fields, lines in variants:
+        head = line_end.join([line, *fields, *lines[:10]])
+        want = _unmemoized_answer(head)
+        assert _answer(head) == want
+        assert _answer(head) == want
+        assert _read(httpserve._request_of, head) == _read(httpserve._request_of.__wrapped__, head)
+
+
+_status_lines = st.sampled_from(
+    [b"HTTP/1.1 200 OK", b"HTTP/1.0 404 Not Found", b"HTTP/1.1 502", b"HTTP/2 200", b"SSH-2.0-OpenSSH"]
+)
+_reply_fields = st.lists(
+    st.sampled_from(
+        [b"Content-Length: 7", b"Content-Length: 007", b"Content-Length: x", b"Connection: close",
+         b"Transfer-Encoding: chunked", b"x-server-time-us: 1500", b"x-server-time-us: 12.5",
+         b"x-server-time-us: " + b"9" * 16, b"x-edge-cache: HIT", b"x-edge-cache: STALE", b"x-edge-cache: WARM"]
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    line=_status_lines,
+    variants=st.lists(st.tuples(_reply_fields, _any_lines), min_size=2, max_size=4),
+    line_end=_line_ends,
+)
+def test_a_memoized_reply_head_is_read_as_an_unmemoized_one(line, variants, line_end):
+    httpserve._reply_of.cache_clear()
+    for fields, lines in variants:
+        head = line_end.join([line, *fields, *lines[:10]])
+        want = _read(httpserve._reply_of.__wrapped__, head)
+        assert _read(httpserve._reply_of, head) == want
+        assert _read(httpserve._reply_of, head) == want
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [
+        pytest.param(b"GARBAGE", 400, id="400"),
+        pytest.param(b"POST /__admin/purge HTTP/1.1\r\nContent-Length: 2000000", 413, id="413"),
+        pytest.param(b"GET / HTTP/1.1\r\n" + b"\r\n".join(b"h%d: v" % i for i in range(101)), 431, id="431"),
+        pytest.param(b"HEAD / HTTP/1.1\r\nTransfer-Encoding: chunked", 501, id="501"),
+        pytest.param(b"GET / HTTP/2.0", 505, id="505"),
+    ],
+)
+def test_a_request_head_that_gets_a_fault_is_never_kept(head, status):
+    assert len(head) <= httpserve._MEMO_HEAD_BYTES
+    before = httpserve._request_of.cache_info().currsize
+    for _ in range(3):
+        reply, close, _, _ = httpserve.respond(head, _route)
+        [(got, headers, body)] = _responses(reply)
+        assert (got, close, headers["connection"]) == (status, True, "close")
+    assert (body == b"") == head.startswith(b"HEAD")  # the method is known to a framing fault
+    assert httpserve._request_of.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("field", [b"x-server-time-us: 12.5", b"x-edge-cache: WARM"], ids=["server-time", "cache"])
+def test_a_reply_head_that_gets_a_fault_is_never_kept(field):
+    reply = _reply(b"ok", field, b"Content-Length: 2")
+    before = httpserve._reply_of.cache_info().currsize
+    with _FakeServer(lambda c, n: reply) as fake:
+        for _ in range(3):
+            with contextlib.closing(_HttpTarget(fake.url)) as target, pytest.raises(TargetUnreachableError):
+                target.handle_request("/", SYSTEM_CLOCK)
+    assert httpserve._reply_of.cache_info().currsize == before
+
+
+def _padded(head, size):
+    """``head`` with one more field, padded to ``size`` bytes; lines end in a bare LF, as the reader keeps no CR."""
+    head += b"\nx-pad: "
+    return head + b"v" * (size - len(head))
+
+
+def test_a_request_head_over_the_memo_bound_is_served_and_never_kept():
+    want = _answer(b"GET /posts/post-1 HTTP/1.1")
+    for size, kept in ((httpserve._MEMO_HEAD_BYTES, 1), (httpserve._MEMO_HEAD_BYTES + 1, 0)):
+        httpserve._request_of.cache_clear()
+        head = _padded(b"GET /posts/post-1 HTTP/1.1", size)
+        assert len(head) == size
+        assert _answer(head) == _answer(head) == want
+        assert httpserve._request_of.cache_info().currsize == kept
+
+
+def test_a_reply_head_over_the_memo_bound_is_read_and_never_kept():
+    for size, kept in ((httpserve._MEMO_HEAD_BYTES, 1), (httpserve._MEMO_HEAD_BYTES + 1, 0)):
+        head = _padded(b"HTTP/1.1 200 OK\nx-edge-cache: HIT\nx-server-time-us: 7\nContent-Length: 2", size)
+        assert len(head) == size
+        httpserve._reply_of.cache_clear()
+        with _FakeServer(lambda c, n, head=head: head + b"\n\nok") as fake:
+            with contextlib.closing(_HttpTarget(fake.url)) as target:
+                resp = target.handle_request("/", SYSTEM_CLOCK)
+        assert (resp.status, resp.body, resp.server_time, resp.cache_status) == (200, b"ok", 7e-6, CacheStatus.HIT)
+        assert httpserve._reply_of.cache_info().currsize == kept
+
+
+def test_each_memo_holds_at_most_its_bound_of_heads():
+    for i in range(5000):
+        httpserve.respond(b"GET /p%d HTTP/1.1" % i, _route)
+        httpserve._reply_of(b"HTTP/1.1 200 OK\r\nContent-Length: %d" % i)
+    assert httpserve._request_of.cache_info().currsize == httpserve._MEMO_HEADS <= 1024
+    assert httpserve._reply_of.cache_info().currsize == httpserve._MEMO_HEADS
+
+
+def test_concurrent_first_reads_of_a_head_get_equal_replies(static_server):
+    head = b"GET /posts/post-1 HTTP/1.1\r\nx-probe: %d\r\nConnection: close\r\n\r\n" % time.monotonic_ns()
+    barrier, replies = threading.Barrier(8), []
+
+    def fetch():
+        with socket.create_connection(("127.0.0.1", static_server.port), timeout=5) as sock:
+            barrier.wait()
+            sock.sendall(head)
+            raw = b""
+            while data := sock.recv(65536):
+                raw += data
+        [(status, headers, body)] = _responses(raw)
+        replies.append((status, body, headers["x-edge-cache"]))
+
+    httpserve._request_of.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    page = static_server.worker.handle_request("/posts/post-1", SYSTEM_CLOCK).body
+    assert replies == [(200, page, "BYPASS")] * 8
+    assert httpserve._request_of.cache_info().currsize == 1
+
+
+_SERVER_TIME_FIELD = re.compile(rb"\r\nx-server-time-us: ([0-9]+)")
+
+
+@pytest.mark.parametrize("server_clock", [SYSTEM_CLOCK, VirtualClock()], ids=["wall", "frozen"])
+def test_a_load_run_reads_each_distinct_head_once(static_server, server_clock, monkeypatch):
+    # Every request head is the same; a reply head changes only with its Date second and its server
+    # time, which the frozen clock holds at 0.
+    replies, read_head = [], httpserve._read_head
+
+    def reading(recv, buf):
+        head, rest = yield from read_head(recv, buf)
+        if head.startswith(b"HTTP/"):
+            replies.append(head)
+        return head, rest
+
+    monkeypatch.setattr(httpserve, "_read_head", reading)
+    monkeypatch.setattr(httpserve, "SYSTEM_CLOCK", server_clock)
+    httpserve._request_of.cache_clear()
+    httpserve._reply_of.cache_clear()
+    first = int(time.time())
+    report = run_load(static_server.url, BenchConfig(duration=0.3, connections=2, target_path="/posts/post-1"))
+    seconds = int(time.time()) - first + 1
+    server_times = {_SERVER_TIME_FIELD.search(head)[1] for head in replies}
+    assert report.error_count == 0 and len(replies) >= report.total_responses > 0
+    assert len({_SERVER_TIME_FIELD.sub(b"", _DATE_FIELD.sub(b"", head)) for head in replies}) == 1
+    assert httpserve._request_of.cache_info().misses == 1
+    assert httpserve._reply_of.cache_info().misses == len(set(replies)) <= seconds * len(server_times)
+    if server_clock is not SYSTEM_CLOCK:  # so one miss per Date second at most
+        assert server_times == {b"0"}
 
 
 # ------------------------------------------------ the benchmark's server trace
