@@ -11,17 +11,18 @@ Two protocols are implemented:
   reported separately from the median and average of runs 2..k, for
   both raw server time and the first-paint proxy.
 
-Both accept a base URL (wall clock, real sockets), an in-process
-worker or a bare ``(path, clock) -> Response`` handler. A URL is reached
-through ``httpserve``'s load client, one keep-alive connection per load
+On the wall clock ``run_load`` takes a base URL: an in-process worker
+is served over loopback by ``httpserve.VariantServer`` first
+(``experiment.served``), so every wall-clock figure includes the HTTP
+path. ``run_audit`` accepts a URL, an in-process worker or a bare
+``(path, clock) -> Response`` handler. A URL is reached through
+``httpserve``'s load client, one keep-alive connection per load
 connection and per audit; every rule of the wire (framing, headers,
 admin paths) is written in ``httpserve`` alone. ``run_load`` drives all
 of a URL's connections from the calling thread on one selector
-(``httpserve._closed_loop``) and records them in one histogram. An
-in-process target on the wall clock gets a thread per connection
-instead, because a worker waits in ``SystemClock.sleep``. With a
-VirtualClock, ``run_load`` becomes a
-deterministic event-driven simulation: each connection gets its own
+(``httpserve._closed_loop``) and records them in one histogram. With a
+VirtualClock, ``run_load`` becomes a deterministic event-driven
+simulation of an in-process target: each connection gets its own
 forked clock and events are processed in timestamp order. Against an
 in-process worker, stretches of requests that change no state (STATIC
 and SSR answers and fresh HITs on a warm worker, per
@@ -30,10 +31,11 @@ time is whole nanoseconds, every such request takes the same step, and
 each connection sleeps in one closed-form step to its first request
 that would find the page stale or starts at the deadline. So an SSR run
 renders its page once, not once per request, and the figures are those
-of calling the worker every time. Each such stretch, and each run of
-consecutive recorded requests that took the same virtual time, goes to
-the histogram in one ``record(latency, n)`` call; the histogram sums
-whole ns, so the report is the one that recording each request gives.
+of calling the worker every time. The requests every connection steps
+over at once go to the histogram in one ``record(latency, n)`` call,
+and so does each run of consecutive recorded requests that took the
+same virtual time; the histogram sums whole ns, so the report is the
+one that recording each request gives.
 
 Percentiles are nearest-rank: the smallest recorded value v such that
 at least p% of samples are <= v.
@@ -46,7 +48,6 @@ import heapq
 import itertools
 import math
 import re
-import threading
 import time
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
@@ -113,16 +114,11 @@ class LatencyHistogram:
         self.max_value = 0.0
         self.sum_ns = 0  # each sample rounded to whole ns, so the sum is exact in any order
         self.clamped_count = 0
-        # The last in-range sample and its bucket: simulated latencies
-        # repeat, and the log in _bucket_index dominates record's cost.
-        # NaN equals nothing, so the memo starts empty.
-        self._last_sample = math.nan
-        self._last_index = 0
         # Running totals of ``counts`` as of ``_cumulative_total`` samples,
         # rebuilt by ``percentile`` only after more samples arrived: a report
         # asks for seven points, and one rebuild costs as much as a bucket
-        # scan. Holds while ``record`` and ``merge``, which both add to
-        # ``total_count``, are the only writers of ``counts``.
+        # scan. Holds while ``record``, which adds to ``total_count``, is the
+        # only writer of ``counts``.
         self._cumulative: list[int] = []
         self._cumulative_total = 0
 
@@ -136,16 +132,12 @@ class LatencyHistogram:
 
     def record(self, sample: float, n: int = 1) -> None:
         """Record ``sample`` ``n`` (>= 1) times."""
-        if sample == self._last_sample:
-            idx = self._last_index
-        elif sample < HIST_LOW or sample > HIST_HIGH:
+        if sample < HIST_LOW or sample > HIST_HIGH:
             self.clamped_count += n
-            idx = min(self._bucket_index(min(max(sample, HIST_LOW), HIST_HIGH)), _N_BUCKETS - 1)
+            idx = self._bucket_index(min(max(sample, HIST_LOW), HIST_HIGH))
         else:
-            idx = min(self._bucket_index(sample), _N_BUCKETS - 1)
-            self._last_sample = sample
-            self._last_index = idx
-        self.counts[idx] += n
+            idx = self._bucket_index(sample)
+        self.counts[min(idx, _N_BUCKETS - 1)] += n
         self.total_count += n
         self.sum_ns += round(sample * 1e9) * n
         if sample > self.max_value:
@@ -170,15 +162,6 @@ class LatencyHistogram:
         if self.total_count == 0:
             raise EmptyHistogramError("no samples recorded")
         return self.sum_ns / self.total_count / 1e9
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.total_count += other.total_count
-        self.sum_ns += other.sum_ns
-        self.clamped_count += other.clamped_count
-        if other.max_value > self.max_value:
-            self.max_value = other.max_value
 
 
 @dataclass(frozen=True)
@@ -275,18 +258,19 @@ def run_load(
 ) -> BenchReport:
     """Closed-loop load run against ``target`` for ``cfg.duration`` seconds.
 
-    With a VirtualClock the run is simulated deterministically (target
-    must then be in-process). ``background`` drains a worker's deferred
-    tasks between simulated events so SWR revalidations make progress.
+    On the wall clock ``target`` is a base URL, loaded over HTTP. With a
+    VirtualClock the run is simulated deterministically, and ``target``
+    is in-process; ``background`` drains a worker's deferred tasks
+    between simulated events so SWR revalidations make progress.
     """
     clock = clock if clock is not None else SYSTEM_CLOCK
     if isinstance(clock, VirtualClock):
         if isinstance(target, str):
             raise ValueError("virtual-clock load runs need an in-process target")
         return _run_load_simulated(target, cfg, clock, background)
-    if isinstance(target, str):
-        return _run_load_http(target, cfg)
-    return _run_load_threads(target, cfg)
+    if not isinstance(target, str):
+        raise ValueError("wall-clock load runs need a URL: serve an in-process worker with httpserve.VariantServer")
+    return _run_load_http(target, cfg)
 
 
 def _run_load_simulated(
@@ -334,7 +318,8 @@ def _run_load_simulated(
             if run:
                 record(latency, run)
                 run = 0
-            recorded = sum(_step_steady(conn, deadline, cutoff, state, hist, path) for conn in conn_clocks)
+            if recorded := sum(_step_steady(conn, deadline, cutoff, state, path) for conn in conn_clocks):
+                record(state[1] / 1e9, recorded)
             if conn_clocks[i].now() > t:  # the head's request was fresh, so every fresh one ran
                 heap = [(conn.now(), j) for j, conn in enumerate(conn_clocks)]
                 heapq.heapify(heap)
@@ -377,18 +362,17 @@ def _step_steady(
     deadline: int,
     cutoff: int,
     state: tuple[bytes, int, int | None],
-    hist: LatencyHistogram,
     path: str,
 ) -> int:
-    """Step one connection through requests that change no state; return how many it recorded.
+    """Step one connection through requests that change no state; return how many to record.
 
     ``state`` is what ``EdgeWorker.steady`` returned. Each request takes
     d = ``step`` ns, so from t the j-th starts at t + j * d. The connection
     makes the n requests that start before the deadline and end by
     ``fresh_until``, n = min(ceil((deadline - t) / d), floor((fresh_until
-    - t) / d)), records those that start at or after ``cutoff`` in one
-    ``record``, and sleeps n * d: to the start of the first request it did
-    not make.
+    - t) / d)), counts those that start at or after ``cutoff``, each to be
+    recorded as d, and sleeps n * d: to the start of the first request it
+    did not make.
     """
     _, d, fresh_until = state
     t = conn.now()
@@ -399,11 +383,8 @@ def _step_steady(
     n = -((t - deadline) // d)  # -(a // b) is ceil(-a / b)
     if fresh_until is not None:
         n = min(n, (fresh_until - t) // d)
-    recorded = max(0, n - max(0, -((t - cutoff) // d)))
-    if recorded:
-        hist.record(d / 1e9, recorded)
     conn.sleep(n * d)
-    return recorded
+    return max(0, n - max(0, -((t - cutoff) // d)))
 
 
 def _took_no_time(path: str) -> ValueError:
@@ -458,61 +439,6 @@ def _run_load_http(url: str, cfg: BenchConfig) -> BenchReport:
             errors += outcome.status >= 400
     elapsed = time.perf_counter() - start
     return _load_report(hist, total_bytes, responses, errors, elapsed - cfg.discard_first, cfg, failure)
-
-
-def _run_load_threads(target: Target, cfg: BenchConfig) -> BenchReport:
-    """Wall-clock load on an in-process target: a thread per connection, as its worker sleeps."""
-    fetch = _fetch(target)
-    results: list[tuple[LatencyHistogram, int, int, int]] = []
-    failures: list[Exception] = []
-    results_lock = threading.Lock()
-    start = time.perf_counter()
-    deadline = start + cfg.duration
-    cutoff = start + cfg.discard_first
-
-    def connection_loop() -> None:
-        hist = LatencyHistogram()
-        nbytes = 0
-        count = 0
-        errors = 0
-        while (t0 := time.perf_counter()) < deadline:
-            try:
-                resp = fetch(cfg.target_path, SYSTEM_CLOCK)
-            except Exception as exc:
-                # A connection ends at its first failure, so a dead target fails fast.
-                if t0 >= cutoff:
-                    errors += 1
-                with results_lock:
-                    failures.append(exc)
-                break
-            latency = time.perf_counter() - t0
-            if t0 >= cutoff:
-                hist.record(latency)
-                nbytes += len(resp.body)
-                count += 1
-                if resp.status >= 400:
-                    errors += 1
-        with results_lock:
-            results.append((hist, nbytes, count, errors))
-
-    threads = [threading.Thread(target=connection_loop) for _ in range(cfg.connections)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - start
-
-    merged = LatencyHistogram()
-    total_bytes = 0
-    responses = 0
-    errors = 0
-    for hist, nbytes, count, errs in results:
-        merged.merge(hist)
-        total_bytes += nbytes
-        responses += count
-        errors += errs
-    failure = failures[0] if failures else None
-    return _load_report(merged, total_bytes, responses, errors, elapsed - cfg.discard_first, cfg, failure)
 
 
 def run_audit(

@@ -21,6 +21,7 @@ import errno
 import json
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -39,6 +40,7 @@ from .experiment import (
     make_site,
     page_label,
     run_experiment,
+    served,
     tables_from_summary,
     write_reports,
 )
@@ -169,25 +171,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
 def _target(cfg: ExperimentConfig, args: argparse.Namespace, name: str, pages: Sequence[str]):
-    """What ``bench`` and ``audit`` run against: (target, clock, scheduler, label).
+    """What ``bench`` and ``audit`` run against, for the block: (target, clock, scheduler, label).
 
-    An in-process target's site must hold each of ``pages`` (the setting ``name``).
+    A ``--variant`` is set up by ``experiment.served``, so on the wall clock it is served over
+    loopback; its site must hold each of ``pages`` (the setting ``name``).
     """
     if args.url:
         if args.deterministic:
             raise ConfigError("deterministic runs need an in-process --variant, not a --url")
-        return args.url, None, None, args.url
+        yield args.url, None, None, args.url
+        return
     variant = _pick_variant(cfg, args.variant)
     build = make_site(cfg, args.deterministic)
     check_built(name, pages, build)
-    return *deployed(variant, build, args.deterministic), variant.name
+    with served(variant, build, args.deterministic) as (target, clock, scheduler):
+        yield target, clock, scheduler, variant.name
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    target, clock, scheduler, label = _target(cfg, args, "bench.target_path", (cfg.bench.target_path,))
-    report = run_load(target, cfg.bench, clock, scheduler)
+    with _target(cfg, args, "bench.target_path", (cfg.bench.target_path,)) as (target, clock, scheduler, label):
+        report = run_load(target, cfg.bench, clock, scheduler)
 
     print(
         f"responses: {report.total_responses}  errors: {report.error_count}  "
@@ -202,11 +208,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     name, pages = ("audit.pages", cfg.audit.pages) if args.page is None else ("page", (args.page,))
-    target, clock, scheduler, label = _target(cfg, args, name, pages)
     entries = []
-    for page in pages:
-        report = run_audit(target, page, cfg.effective_profile(), cfg.audit.runs, cfg.audit.reset, clock, scheduler)
-        entries.append(audit_entry(f"{label} {page_label(page)}", report))
+    with _target(cfg, args, name, pages) as (target, clock, scheduler, label):
+        for page in pages:
+            report = run_audit(target, page, cfg.effective_profile(), cfg.audit.runs, cfg.audit.reset, clock, scheduler)
+            entries.append(audit_entry(f"{label} {page_label(page)}", report))
     print(audit_table(entries).to_markdown(), end="")
     for entry in entries:
         print(f"cache: {' '.join(entry['cache_statuses'])}  ({entry['label']})")

@@ -21,13 +21,13 @@ variants are served over loopback HTTP and measured on the wall clock.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
-from .bench import PERCENTILE_POINTS, AuditReport, BenchReport, apply_reset, check_page, run_audit, run_load
+from .bench import PERCENTILE_POINTS, AuditReport, BenchReport, Target, apply_reset, check_page, run_audit, run_load
 from .clock import SYSTEM_CLOCK, Clock, SerialScheduler, VirtualClock
 from .config import ExperimentConfig, VariantSpec
 from .content import generate_posts
@@ -235,6 +235,23 @@ def deployed(
     return worker, VirtualClock() if deterministic else SYSTEM_CLOCK, scheduler
 
 
+@contextmanager
+def served(
+    variant: VariantSpec, build: SiteBuild, deterministic: bool = False
+) -> Iterator[tuple[Target, Clock, SerialScheduler | None]]:
+    """``variant`` deployed with ``build`` as a measured run reaches it: ``(target, clock, scheduler)``.
+
+    Deterministic: the worker itself, its VirtualClock and its SerialScheduler. Else, on the wall clock,
+    the URL of a ``VariantServer`` that serves the worker over loopback while the block runs.
+    """
+    worker, clock, scheduler = deployed(variant, build, deterministic)
+    if deterministic:
+        yield worker, clock, scheduler
+        return
+    with VariantServer(worker) as server:
+        yield server.url, clock, scheduler
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     deterministic: bool = False,
@@ -248,10 +265,8 @@ def run_experiment(
     audits: list[tuple[str, AuditReport]] = []
     benches: list[tuple[str, BenchReport]] = []
     for variant in cfg.variants:
-        worker, clock, scheduler = deployed(variant, build, deterministic)
         # A wall-clock variant is served over loopback only for its own audit and load phases.
-        with nullcontext() if deterministic else VariantServer(worker) as server:
-            target = worker if server is None else server.url
+        with served(variant, build, deterministic) as (target, clock, scheduler):
             for page in cfg.audit.pages:
                 rep = run_audit(target, page, profile, cfg.audit.runs, cfg.audit.reset, clock, scheduler)
                 audits.append((f"{variant.name} {page_label(page)}", rep))

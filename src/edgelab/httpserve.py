@@ -23,6 +23,7 @@ bytes or more gets 414; a request head has at most 100 header lines of
 under 65,536 bytes each (431 beyond). A body is framed by
 ``content-length`` (ASCII digits); a request body is skipped unread
 (over 1 MiB gets 413), and ``Transfer-Encoding`` gets 501 and a close.
+A request target that ``urlsplit`` refuses, as ``http://[x``, gets 400.
 Each response is one ``sendall`` with a ``content-length``.
 
 The load client, which ``bench`` drives, shares the server's head
@@ -293,8 +294,8 @@ def _error(exc: HeadError, method: str | None = None) -> bytes:
 def _request_of(head: bytes) -> tuple[str, str, int, bool, bool] | None:
     """What a request head asks: ``(method, page, body_length, close, expect_continue)``, None for blanks.
 
-    The request line, version, headers and body framing are checked;
-    ``HeadError`` for a fault, carrying the method once the request line
+    The request line, version, headers, body framing and target are
+    checked; ``HeadError`` for a fault, carrying the method once the request line
     and version are sound. Memoized: see the module docstring.
     """
     requestline, headers = parse_head(head)
@@ -308,12 +309,15 @@ def _request_of(head: bytes) -> tuple[str, str, int, bool, bool] | None:
     method, target = words[:2]
     try:
         size, close = _framing(version, headers, MAX_BODY)
+        try:
+            # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
+            page = request_page("/" + target.lstrip("/") if target.startswith("//") else target)
+        except ValueError as exc:  # urlsplit refuses the target, as "http://[x"
+            raise HeadError(f"Bad request target ({target[:64]!r}): {exc}") from exc
     except HeadError as exc:
         exc.method = method
         raise
     expect_continue = version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue"
-    # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
-    page = request_page("/" + target.lstrip("/") if target.startswith("//") else target)
     return method, page, size, close, expect_continue
 
 
@@ -417,6 +421,9 @@ class VariantServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True  # as http.server's servers set them
     daemon_threads = True
+    # The platform's listen backlog, not socketserver's 5: a load run opens all its connections at once,
+    # and a handshake the backlog drops is sent again only about 1 s later.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, worker: EdgeWorker, host: str = "127.0.0.1", port: int = 0):
         self.worker = worker

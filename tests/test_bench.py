@@ -1,5 +1,6 @@
 """Histogram accuracy, load-run accounting, target URLs, audits, comparison tables."""
 
+import functools
 import heapq
 import itertools
 import math
@@ -121,21 +122,6 @@ def test_mean_matches_arithmetic_mean():
     assert h.mean == pytest.approx(statistics.fmean(values), rel=1e-9)
 
 
-def test_merge_equals_single_histogram():
-    rng = random.Random(7)
-    values = [rng.lognormvariate(-5, 1.5) for _ in range(2000)]
-    whole = LatencyHistogram()
-    part1, part2 = LatencyHistogram(), LatencyHistogram()
-    for i, v in enumerate(values):
-        whole.record(v)
-        (part1 if i % 2 else part2).record(v)
-    part1.merge(part2)
-    assert part1.total_count == whole.total_count
-    assert part1.percentile(100) == whole.percentile(100)
-    for p in PERCENTILE_POINTS:
-        assert part1.percentile(p) == whole.percentile(p)
-
-
 @settings(max_examples=50)
 @given(st.lists(st.floats(min_value=1e-5, max_value=50.0), min_size=1, max_size=300))
 def test_percentiles_track_oracle_and_stay_monotone(values):
@@ -238,7 +224,7 @@ _samples = st.lists(
 
 @settings(max_examples=100)
 @given(
-    st.lists(st.tuples(st.sampled_from(["record", "merge"]), _samples), max_size=6),
+    st.lists(_samples, max_size=6),
     st.lists(st.floats(min_value=0.0, max_value=100.0, exclude_min=True), max_size=4),
 )
 def test_bisected_percentiles_match_a_bucket_scan(steps, extra_points):
@@ -249,15 +235,9 @@ def test_bisected_percentiles_match_a_bucket_scan(steps, extra_points):
             return type(exc)
 
     h = LatencyHistogram()
-    for how, samples in [("record", [])] + steps:
-        if how == "record":
-            for v in samples:
-                h.record(v)
-        else:
-            other = LatencyHistogram()
-            for v in samples:
-                other.record(v)
-            h.merge(other)
+    for samples in [[]] + steps:
+        for v in samples:
+            h.record(v)
         for p in PERCENTILE_POINTS + tuple(extra_points):
             assert outcome(h.percentile, p) == outcome(scan_percentile, h, p)
 
@@ -512,8 +492,8 @@ def test_an_ssr_page_the_origin_lost_is_a_502_on_every_request(monkeypatch, post
     assert report.error_count == report.total_responses == calls > 0
 
 
-def step_by_step(conn, deadline, cutoff, state, hist, path):
-    """The per-request loop ``bench._step_steady`` replaced, kept as its reference."""
+def step_by_step(conn, deadline, cutoff, state, path, hist):
+    """The per-request loop ``bench._step_steady`` replaced, kept as its reference: it records into ``hist``."""
     _, step, fresh_until = state
     t = start = conn.now()
     recorded = run = 0
@@ -595,16 +575,18 @@ def test_closed_form_steps_match_a_loop_turn_per_request(deadline, clock_start, 
     end = clock_start + duration
     cutoff = clock_start + round(duration * discard_share)
     state = (b"x", base + kv, None if ttl is None else clock_start - age + ttl)
-    runs = []
-    for step in (bench._step_steady, step_by_step):
-        conn, hist = VirtualClock(clock_start), RecordLog()
+    runs, hist = [], RecordLog()
+    for step in (bench._step_steady, functools.partial(step_by_step, hist=hist)):
+        conn = VirtualClock(clock_start)
         try:
             with deadline(2.0):
-                outcome = step(conn, end, cutoff, state, hist, "/")
+                outcome = step(conn, end, cutoff, state, "/")
         except ValueError as exc:
             outcome = str(exc)
-        runs.append((outcome, conn.now(), hist.calls))
+        runs.append((outcome, conn.now()))
     assert runs[0] == runs[1]
+    # The driver records the closed form's count in one call; the loop recorded the same.
+    assert hist.calls == ([(state[1] / 1e9, outcome)] if isinstance(outcome, int) and outcome else [])
 
 
 @pytest.mark.parametrize("strategy", [Strategy.STATIC, Strategy.ISR])
@@ -758,21 +740,6 @@ def test_wallclock_load_against_dead_port_is_unreachable(monkeypatch):
     assert 1 <= len(connects) <= 2 * 2
 
 
-@pytest.mark.wallclock
-def test_wallclock_load_errors_inside_discard_window_are_not_counted():
-    calls = itertools.count()
-    steady = constant_handler(0.001)
-
-    def fails_first(path, clock):
-        if next(calls) == 0:
-            raise ConnectionResetError("first request fails")
-        return steady(path, clock)
-
-    report = run_load(fails_first, BenchConfig(duration=0.4, connections=2, discard_first=0.2))
-    assert report.total_responses > 0
-    assert report.error_count == 0
-
-
 def test_discard_first_must_be_shorter_than_duration():
     # Discarding the whole run used to surface as an unreachable target.
     with pytest.raises(ValueError, match="discard_first"):
@@ -837,18 +804,12 @@ def test_base_path_is_rejected_not_dropped():
         run_load("http://127.0.0.1:1/base", BenchConfig(duration=0.4, connections=2))
 
 
-@pytest.mark.wallclock
-def test_wallclock_load_in_process_worker(posts10, build10):
-    from edgelab.edge import EdgeWorker
-
-    w = EdgeWorker(StrategyConfig(strategy=Strategy.STATIC, base_handling=0.0))
-    w.deploy(build10, posts10)
-    report = run_load(w, BenchConfig(duration=0.4, connections=4))
-    assert report.total_responses > 0
-    assert report.error_count == 0
-    assert report.requests_per_second * report.duration == pytest.approx(
-        report.total_responses, rel=0.05
-    )
+def test_wallclock_load_in_process_worker(worker_factory):
+    # A wall-clock run loads a URL: an in-process worker is served over loopback first.
+    worker = worker_factory(Strategy.STATIC, base_handling=0.0)
+    for target in (worker, worker.handle_request):
+        with pytest.raises(ValueError, match="VariantServer"):
+            run_load(target, BenchConfig(duration=0.4, connections=4))
 
 
 def test_load_drains_background_work(posts10, build10):

@@ -495,6 +495,30 @@ def test_wallclock_experiment_serves_each_variant_and_closes_its_port(tmp_path, 
             socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
 
+@pytest.mark.wallclock
+@pytest.mark.parametrize("argv, printed", [
+    (["bench", "--variant", "static", "--duration", "0.3", "--connections", "2"], "| static "),
+    (["audit", "--variant", "isr", "--runs", "2"], "cache: MISS HIT  (isr index)"),
+])
+def test_a_wall_clock_variant_command_serves_it_over_loopback_and_closes_its_port(capsys, monkeypatch, deadline,
+                                                                                 argv, printed):
+    servers = []
+
+    class RecordedServer(experiment.VariantServer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            servers.append(self)
+
+    monkeypatch.setattr(experiment, "VariantServer", RecordedServer)
+    with deadline(30.0):
+        assert main(argv) == 0
+    assert printed in capsys.readouterr().out
+    [server] = servers
+    assert server.worker.config.strategy.value == argv[2].upper()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=5).close()
+
+
 def test_experiment_writes_reports(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["experiment", "--deterministic", "--duration", "2", "--out", str(out_dir)])

@@ -12,10 +12,10 @@ from edgelab.bench import BenchConfig, run_audit, run_load
 from edgelab.config import preset
 from edgelab.content import Post, make_post
 from edgelab.experiment import (
-    deployed,
     make_site,
     page_label,
     run_experiment,
+    served,
     write_reports,
 )
 
@@ -126,11 +126,11 @@ def test_a_wall_clock_run_times_no_draw_or_render(spy):
     rendered = spy(ssg, "render_post")
     # STATIC serves the build's pages; ISR renders its own from the build's posts.
     for variant in (v for v in cfg.variants if v.name in ("static", "isr")):
-        worker, clock, _ = deployed(variant, build)
-        for page in ("/", "/posts/post-7"):
-            assert run_audit(worker, page, runs=2, clock=clock).runs == 2
-            load = run_load(worker, BenchConfig(duration=0.2, connections=2, target_path=page), clock)
-            assert load.total_responses > 0 and load.error_count == 0
+        with served(variant, build) as (target, clock, _):
+            for page in ("/", "/posts/post-7"):
+                assert run_audit(target, page, runs=2, clock=clock).runs == 2
+                load = run_load(target, BenchConfig(duration=0.2, connections=2, target_path=page), clock)
+                assert load.total_responses > 0 and load.error_count == 0
     assert (drawn, rendered) == ([], [])
 
 

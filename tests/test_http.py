@@ -270,6 +270,20 @@ def _responses(raw):
     return out
 
 
+@pytest.mark.parametrize("target", ["http://[x", "v://[v0b.", "t0://[#.", "a://]["])
+def test_a_request_target_urlsplit_refuses_gets_400(isr_server, target):
+    head = f"GET {target} HTTP/1.1".encode()
+    before = httpserve._request_of.cache_info().currsize
+    [(status, headers, body)] = _responses(_exchange(isr_server, head + b"\r\nHost: x\r\n\r\n"))
+    assert (status, headers["connection"]) == (400, "close")
+    assert body.startswith(b"400 Bad Request: Bad request target")
+    # A HEAD request is answered without the body.
+    reply, close, _, _ = httpserve.respond(b"HEAD" + head[3:], _route)
+    [(status, headers, body)] = _responses(reply)
+    assert (status, close, body) == (400, True, b"")
+    assert httpserve._request_of.cache_info().currsize == before
+
+
 def test_leading_double_slash_collapses_to_one(isr_server, posts10, build10):
     page = f"/posts/{posts10[0].slug}"
     raw = _exchange(isr_server, f"GET /{page} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode())
@@ -608,6 +622,18 @@ def test_a_load_connection_is_not_retried_after_a_fault():
     assert len(fake.heads) == 2
 
 
+@pytest.mark.wallclock
+def test_wallclock_load_errors_inside_discard_window_are_not_counted():
+    # The first connection's first reply is broken and ends that connection, inside discard_first;
+    # the other connection's replies, once past it, are counted, and the broken one is no error.
+    body = b"<p>ok</p>"
+    good = _reply(body, b"x-edge-cache: HIT", b"Content-Length: %d" % len(body))
+    with _FakeServer(lambda c, n: _reply(b"no framing") if (c, n) == (0, 0) else good) as fake:
+        report = run_load(fake.url, BenchConfig(duration=0.4, connections=2, discard_first=0.2))
+    assert report.total_responses > 0
+    assert report.error_count == 0
+
+
 def test_a_load_run_counts_each_retry_once():
     # The server ends each connection after three replies without saying so; the request
     # that finds the connection closed goes once more on a fresh one and is no error.
@@ -643,6 +669,15 @@ def test_a_url_load_drives_every_connection_from_the_calling_thread(static_serve
     assert started == []
     assert report.error_count == 0 and report.total_responses > 0
     assert report.requests_per_second * wall == pytest.approx(report.total_responses, rel=0.05)
+
+
+@pytest.mark.wallclock
+def test_a_load_run_opens_more_connections_than_the_old_backlog_without_a_resent_handshake(static_server):
+    # socketserver's backlog of 5 dropped some of 16 handshakes made at once, and each was sent again
+    # about 1 s later: the slowest request of a run took over 1 s.
+    report = run_load(static_server.url, BenchConfig(duration=0.3, connections=16))
+    assert report.error_count == 0 and report.total_responses > 0
+    assert report.percentiles[100.0] < 0.5
 
 
 def test_a_target_that_never_answers_fails_within_about_one_timeout(monkeypatch):
