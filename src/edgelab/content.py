@@ -26,13 +26,21 @@ after each shift and multiply.
 
 A post's stream gives draw 0 the title length kt, draws 1..kt the
 title words, draw kt + 1 the word count w and draws kt + 2 .. kt + 1 + w
-the body words. ``make_post`` mixes the kt + 2 title and sizing draws
-alone, one ``_mix`` each, and returns a post whose body is drawn when
-``.body`` is first read (``Deferred``): a run draws only the bodies it
-reads, and every read gives the same text. ``_draw_body`` mixes the w
-body draws as one packed int (at most 500 lanes with the default bounds;
-a longer body spans blocks of ``_LANES``). ``_residues`` takes every lane mod the
-lexicon size n inside the packed int, for any 1 <= n <= 256. It folds
+the body words. ``generate_posts`` mixes the kt + 2 title and sizing
+draws of up to ``_LANES`` posts at once: one ``_blocks`` call gives the
+posts' stream seeds s_j, and row k (k = 1..9 covers kt <= 7) holds draw
+k - 1 of every post, lane j finalizing s_j + k * GAMMA with ``_blocks``'s
+own ``_finalize``. The word count's span may exceed 256, so it reads its
+lane's low 8 bytes as one integer. Every lane is read through
+``int.to_bytes(..., "little")``, never in the host's byte order.
+``make_post``, the one-post path, mixes the same draws alone, one
+``_mix`` each, which costs less than one-lane rows. Both return a post
+whose body is drawn when ``.body`` is first read (``Deferred``): a run
+draws only the bodies it reads, and every read gives the same text.
+``_draw_body`` mixes the w body draws as one packed int (at most 500
+lanes with the default bounds; a longer body spans blocks of
+``_LANES``). ``_residues`` takes every lane mod the lexicon size n
+inside the packed int, for any 1 <= n <= 256. It folds
 each lane x = hi * 2**32 + lo to y = hi * (2**32 mod n) + lo, which is
 x mod n plus a multiple of n and below 2**32 * n <= 2**40, then takes
 the exact remainder of Lemire, Kaser & Kurz (2019),
@@ -109,15 +117,19 @@ class SplitMix64:
         return self.next_int() % n
 
 
+def _finalize(z: int) -> int:
+    """``_mix`` of every lane of ``z``, whose lanes each hold a state below 2**64."""
+    z = ((z ^ (z >> 30)) & _LOW64) * _M1 & _LOW64
+    z = ((z ^ (z >> 27)) & _LOW64) * _M2 & _LOW64
+    return (z ^ (z >> 31)) & _LOW64
+
+
 def _blocks(state: int, k: int) -> Iterator[tuple[int, int]]:
     """The next ``k`` outputs after ``state`` as ``(m, z)``: ``m <= _LANES`` outputs packed in ``z``."""
     while k:
         m = min(k, _LANES)
         keep = (1 << (m << 7)) - 1
-        z = (state * (_ONES & keep) + (_STEPS & keep)) & _LOW64
-        z = ((z ^ (z >> 30)) & _LOW64) * _M1 & _LOW64
-        z = ((z ^ (z >> 27)) & _LOW64) * _M2 & _LOW64
-        yield m, (z ^ (z >> 31)) & _LOW64
+        yield m, _finalize((state * (_ONES & keep) + (_STEPS & keep)) & _LOW64)
         state = (state + m * _GAMMA) & _MASK64
         k -= m
 
@@ -188,7 +200,7 @@ def _draw_body(state: int, n_words: int) -> str:
     return " ".join([_LEXICON[i] for i in words])
 
 
-# make_post's posts draw their body on its first read.
+# Every post draws its body on the first read of it.
 _BODY = Deferred(Post, "body", _draw_body)
 
 
@@ -197,6 +209,14 @@ def _check(seed: int, word_min: int, word_max: int) -> None:
         raise ValueError(f"seed must be within 0-{MAX_SEED}")
     if not 1 <= word_min <= word_max:
         raise ValueError("need 1 <= word_min <= word_max")
+
+
+def _new_post(post_id: int, s: int, title: Sequence[int], n_words: int) -> Post:
+    """Post ``post_id`` of stream seed ``s``: its title the lexicon words at ``title``, its body drawn on first read."""
+    words = [_LEXICON[i] for i in title]
+    # The kt = len(title) title draws and the word count take draws 0..kt + 1; the body follows.
+    body_args = ((s + (len(words) + 2) * _GAMMA) & _MASK64, n_words)
+    return _BODY.new(body_args, id=post_id, slug=f"post-{post_id}", title=" ".join(words).capitalize())
 
 
 def make_post(
@@ -211,14 +231,12 @@ def make_post(
     _check(seed, word_min, word_max)
     s = _stream_seed(seed, post_id)
     # Draw k is _mix(s + (k + 1) * GAMMA). Draw 0 is the title length kt,
-    # draws 1..kt the title words, draw kt + 1 the word count and the rest
-    # the body words, which _draw_body takes after state s + (kt + 2) * GAMMA.
+    # draws 1..kt the title words and draw kt + 1 the word count.
     kt = 3 + _mix(s + _GAMMA) % 5
     n = len(_LEXICON)
-    title = " ".join([_LEXICON[_mix(s + k * _GAMMA) % n] for k in range(2, kt + 2)]).capitalize()
+    title = [_mix(s + k * _GAMMA) % n for k in range(2, kt + 2)]
     n_words = word_min + _mix(s + (kt + 2) * _GAMMA) % (word_max - word_min + 1)
-    body_args = ((s + (kt + 2) * _GAMMA) & _MASK64, n_words)
-    return _BODY.new(body_args, id=post_id, slug=f"post-{post_id}", title=title)
+    return _new_post(post_id, s, title, n_words)
 
 
 def generate_posts(
@@ -227,11 +245,27 @@ def generate_posts(
     word_min: int = DEFAULT_WORD_MIN,
     word_max: int = DEFAULT_WORD_MAX,
 ) -> list[Post]:
-    """All posts for a site, ordered by id 0..count-1."""
+    """All posts for a site, ordered by id 0..count-1; each equals ``make_post(seed, id, ...)``."""
     if count < 0:
         raise ValueError("count must be >= 0")
     _check(seed, word_min, word_max)
-    return [make_post(seed, i, word_min, word_max) for i in range(count)]
+    n, span = len(_LEXICON), word_max - word_min + 1
+    posts: list[Post] = []
+    # Post i's stream seed is output i of the site stream: one block of seeds for up to _LANES posts.
+    for m, seeds in _blocks(seed, count):
+        step = _GAMMA * (_ONES & ((1 << (m << 7)) - 1))
+        # Row k holds draw k - 1 of every post, mix(s + k * GAMMA) in the post's lane. Row 1 is the
+        # title length kt (3..7), rows 2..kt + 1 the title words and row kt + 2 the word count.
+        rows = {k: _finalize((seeds + k * step) & _LOW64) for k in range(1, 10)}
+        titles = zip(*[_residues(m, rows[k], n) for k in range(2, 9)])
+        # A span may be over 256, past _residues: each lane's low 8 bytes, read as one integer.
+        counts = {k: rows[k].to_bytes(m << 4, "little") for k in range(5, 10)}
+        lanes = seeds.to_bytes(m << 4, "little")
+        for j, (r, title) in enumerate(zip(_residues(m, rows[1], 5), titles)):
+            kt, lo = 3 + r, j << 4
+            n_words = word_min + int.from_bytes(counts[kt + 2][lo : lo + 8], "little") % span
+            posts.append(_new_post(len(posts), int.from_bytes(lanes[lo : lo + 8], "little"), title[:kt], n_words))
+    return posts
 
 
 def content_digest(posts: Sequence[Post]) -> str:

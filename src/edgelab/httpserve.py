@@ -23,7 +23,8 @@ bytes or more gets 414; a request head has at most 100 header lines of
 under 65,536 bytes each (431 beyond). A body is framed by
 ``content-length`` (ASCII digits); a request body is skipped unread
 (over 1 MiB gets 413), and ``Transfer-Encoding`` gets 501 and a close.
-A request target that ``urlsplit`` refuses, as ``http://[x``, gets 400.
+A request target that ``urlsplit`` refuses, as ``http://[x``, gets 400;
+a request the worker fails on (an exception), 500 and a close.
 Each response is one ``sendall`` with a ``content-length``.
 
 The load client, which ``bench`` drives, shares the server's head
@@ -103,7 +104,8 @@ class HeadError(ValueError):
     """A refused request and the ``status`` it is answered with.
 
     400 if malformed, 414 or 431 for a line over its limit, 413 for a body over ``MAX_BODY``,
-    505 for an unsupported version, 501 for ``Transfer-Encoding`` or a method the route does not serve.
+    505 for an unsupported version, 501 for ``Transfer-Encoding`` or a method the route does not serve;
+    ``respond`` answers a route that raises anything else with 500.
     """
 
     method: str | None = None  # the request's method, set once its request line and version are sound
@@ -331,10 +333,11 @@ def respond(
     answered in plain text with a close, and ``route(method, page)``
     answers the rest: it returns ``(status, body, fields)``, each field a
     CRLF-ended header line, or raises ``HeadError(..., 501)`` for a method
-    it does not serve. ``reply`` is empty for a request line of blanks,
-    which gets no answer. The caller sends ``100 Continue`` first if
-    ``expect_continue``, then skips ``body_length`` bytes of request body,
-    then sends ``reply``.
+    it does not serve; any other exception from ``route`` is answered with
+    500 and a close, its traceback printed. ``reply`` is empty for a
+    request line of blanks, which gets no answer. The caller sends
+    ``100 Continue`` first if ``expect_continue``, then skips
+    ``body_length`` bytes of request body, then sends ``reply``.
     """
     try:
         request = (_request_of if len(head) <= _MEMO_HEAD_BYTES else _request_of.__wrapped__)(head)
@@ -347,6 +350,11 @@ def respond(
         status, body, fields = route(method, page)
     except HeadError as exc:
         return _error(exc, method), True, size, expect_continue
+    except Exception as exc:  # the server's own fault: answered, with its traceback on stderr
+        import traceback  # only here, as socketserver does: importing it adds 0.15 MB to every run's peak RSS
+
+        traceback.print_exc()
+        return _error(HeadError(f"the route raised {type(exc).__name__}", 500), method), True, size, expect_continue
     return _reply(status, body, fields), close, size, expect_continue
 
 

@@ -174,6 +174,39 @@ def test_random_access_equals_the_generated_list(seed, ids, bounds):
     assert make_post(seed, post_id, *bounds) == generate_posts(seed, count, *bounds)[post_id]
 
 
+def _unread(posts):
+    """Each post's fields before its body is read: id, slug, title and the body's draw state and size."""
+    return [vars(p).copy() for p in posts]
+
+
+# A site's posts draw their headers in blocks of _LANES posts: counts at and around block ends.
+BATCH_COUNTS = (0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1)
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (5, 9), (50, 500), (1000, 3000)])
+@pytest.mark.parametrize("seed", [0, 1, MASK64])
+def test_a_generated_batch_equals_one_make_post_per_id(seed, bounds):
+    # (50, 500) and (1000, 3000) have a word-count span over 256.
+    one_by_one = _unread(make_post(seed, i, *bounds) for i in range(max(BATCH_COUNTS)))
+    for count in BATCH_COUNTS:
+        assert _unread(generate_posts(seed, count, *bounds)) == one_by_one[:count], count
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=_SEEDS,
+    count=st.one_of(st.integers(0, 20), st.integers(_LANES - 3, 2 * _LANES + 3)),
+    bounds=st.one_of(_word_bounds(30), _word_bounds(600), _word_bounds(3000)),
+    data=st.data(),
+)
+def test_any_generated_batch_equals_one_make_post_per_id(seed, count, bounds, data):
+    posts = generate_posts(seed, count, *bounds)
+    assert _unread(posts) == _unread(make_post(seed, i, *bounds) for i in range(count))
+    if count:
+        post_id = data.draw(st.integers(0, count - 1), label="post_id")
+        assert posts[post_id] == reference_post(seed, post_id, *bounds)
+
+
 def test_generated_content_is_pinned():
     # Digests recorded before words were drawn in packed lanes;
     # the second needs up to 3000 draws per post, several lane blocks.

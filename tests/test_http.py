@@ -284,6 +284,27 @@ def test_a_request_target_urlsplit_refuses_gets_400(isr_server, target):
     assert httpserve._request_of.cache_info().currsize == before
 
 
+@pytest.mark.parametrize("method", ["GET", "POST", "HEAD"])
+def test_a_route_that_raises_gets_500_and_a_close(method, capsys):
+    def route(method, page):
+        raise RuntimeError("the worker broke")
+
+    reply, close, size, _ = httpserve.respond(f"{method} / HTTP/1.1\r\nContent-Length: 3".encode(), route)
+    [(status, headers, body)] = _responses(reply)
+    assert (status, close, size, headers["connection"]) == (500, True, 3, "close")
+    # A HEAD request is answered without the body.
+    assert body == (b"" if method == "HEAD" else b"500 Internal Server Error: the route raised RuntimeError\n")
+    assert "RuntimeError: the worker broke" in capsys.readouterr().err
+
+
+def test_a_worker_never_deployed_gets_500_over_a_socket(capfd):
+    with VariantServer(EdgeWorker(StrategyConfig(strategy=Strategy.STATIC))) as server:
+        [(status, headers, body)] = _responses(_exchange(server, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
+    assert (status, headers["connection"]) == (500, "close")
+    assert body.startswith(b"500 Internal Server Error")
+    assert "RuntimeError: no deployment" in capfd.readouterr().err
+
+
 def test_leading_double_slash_collapses_to_one(isr_server, posts10, build10):
     page = f"/posts/{posts10[0].slug}"
     raw = _exchange(isr_server, f"GET /{page} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode())
